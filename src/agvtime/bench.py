@@ -106,7 +106,14 @@ def corner_route_steps(g, start, goal):
     return steps
 
 
+# One expansion at subdivision 1 takes well under a millisecond: too short a
+# sample for the naive/boundary ratios to hold still under scheduler noise.
+EXPANSIONS_PER_SAMPLE = 5
+
+
 def bench_reservers(*, grid=40, subdivisions=(1, 2, 4, 6), weight=12, reps=20):
+    """Best of ``reps`` samples per expansion, naive and boundary samples
+    alternating so that drift in machine speed cannot skew their ratio."""
     rows = []
     base = build_grid(grid, weight)
     for s in subdivisions:
@@ -117,15 +124,13 @@ def bench_reservers(*, grid=40, subdivisions=(1, 2, 4, 6), weight=12, reps=20):
         steps = corner_route_steps(g, start, goal)
         outputs = {}
         timings = {}
-        for name, fn in (("naive", naive_reservations), ("boundary", boundary_reservations)):
-            best = None
-            for _ in range(reps):
+        for _ in range(reps):
+            for name, fn in (("naive", naive_reservations), ("boundary", boundary_reservations)):
                 t0 = time.perf_counter()
-                out = fn(steps, links, 1)
-                dt = time.perf_counter() - t0
-                best = dt if best is None else min(best, dt)
-            outputs[name] = out
-            timings[name] = best
+                for _ in range(EXPANSIONS_PER_SAMPLE):
+                    outputs[name] = fn(steps, links, 1)
+                dt = (time.perf_counter() - t0) / EXPANSIONS_PER_SAMPLE
+                timings[name] = min(timings.get(name, dt), dt)
         same = normalise(outputs["naive"]) == normalise(outputs["boundary"])
         note = "equal" if same else "UNEQUAL"
         span = sum(s2.end - s2.start for s2 in steps if not g.is_node(s2.resource))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -97,20 +98,7 @@ def _load_scenario(args) -> Scenario | None:
             v = getattr(args, name, None)
             if v is not None:
                 overrides[name] = v
-        if overrides:
-            sc = Scenario(
-                graph=sc.graph,
-                placements=sc.placements,
-                demands=sc.demands,
-                seed=overrides.get("seed", sc.seed),
-                preset=overrides.get("preset", sc.preset),
-                anchoriser=overrides.get("anchoriser", sc.anchoriser),
-                subdivisions=overrides.get("subdivisions", sc.subdivisions),
-                link_radius=overrides.get("link_radius", sc.link_radius),
-                stop_pickup=overrides.get("stop_pickup", sc.stop_pickup),
-                stop_dropoff=overrides.get("stop_dropoff", sc.stop_dropoff),
-            )
-        return sc
+        return dataclasses.replace(sc, **overrides)
     kw = _generate_kwargs(args)
     if not all(k in kw for k in ("grid", "agvs", "demands")):
         return None
@@ -118,12 +106,16 @@ def _load_scenario(args) -> Scenario | None:
 
 
 def _parse_inject(g, text: str):
+    """(resource id, agv, Interval) from RESOURCE,AGV,START,END; raises
+    ValueError or InvalidParameterError on anything that is not on ``g``."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
         raise InvalidParameterError("--inject wants RESOURCE,AGV,START,END")
     raw, agv, start, end = parts
     rid = g.resource_id(raw) if raw[:1] in ("n", "e") else int(raw)
-    return rid, int(agv), parse_tick(start), parse_tick(end)
+    if not 0 <= rid < g.num_resources:
+        raise InvalidParameterError(f"--inject resource {raw!r} is not on the graph")
+    return rid, int(agv), Interval(parse_tick(start), parse_tick(end))
 
 
 def _scenario_tag(sc: Scenario) -> str:
@@ -155,6 +147,13 @@ def cmd_run(args) -> int:
         _report("invalid", str(problem))
         return EXIT_INVALID
     g, links, placements, demands = materialise(sc)
+    inject = None
+    if args.inject:
+        try:
+            inject = _parse_inject(g, args.inject)
+        except (ValueError, InvalidParameterError) as err:
+            _report("invalid", str(err))
+            return EXIT_INVALID
     try:
         tt = build_timetable(
             g,
@@ -174,13 +173,8 @@ def cmd_run(args) -> int:
         _report("no-path", str(err))
         return EXIT_FAULT
 
-    if args.inject:
-        try:
-            rid, agv, start, end = _parse_inject(g, args.inject)
-        except (ValueError, InvalidParameterError) as err:
-            _report("invalid", str(err))
-            return EXIT_INVALID
-        tt.tg.reserve(rid, agv, Interval(start, end))
+    if inject is not None:
+        tt.tg.reserve(*inject)
 
     bad = audit_safety(tt.tg, tt.occupations())
     if bad is not None:

@@ -151,7 +151,8 @@ class _Label:
 
 
 def _source_label(tg: TimeGraph, agv: AgvId, spec: SourceSpec, earliest: int):
-    """Initial label for one AGV, plus an edge prefix step when it starts mid-edge."""
+    """Initial (node, window start, window end, entry) for one AGV, plus an
+    edge prefix step when it starts mid-edge; (None, None) when blocked."""
     g = tg.graph
     rid = spec.resource
     if g.is_node(rid):
@@ -159,7 +160,7 @@ def _source_label(tg: TimeGraph, agv: AgvId, spec: SourceSpec, earliest: int):
             raise InvalidParameterError("elapsed ticks only apply to edge sources")
         for ws, we in tg.gaps_full(rid, agv):
             if ws <= earliest < we:
-                return _Label(agv, rid, ws, we, earliest, 0, None, None), None
+                return (rid, ws, we, earliest), None
         return None, None
     edge = g.edge_at(rid)
     if not 0 <= spec.elapsed < edge.weight:
@@ -173,35 +174,33 @@ def _source_label(tg: TimeGraph, agv: AgvId, spec: SourceSpec, earliest: int):
         return None, None
     for ws, we in tg.gaps_full(head, agv):
         if ws <= tau < we:
-            lab = _Label(agv, head, ws, we, tau, 0, None, None)
-            return lab, Step(rid, earliest, tau)
+            return (head, ws, we, tau), Step(rid, earliest, tau)
     return None, None
 
 
 def _expand_moves(tg, lab, allowed, push):
     g = tg.graph
-    agv = lab.agv
+    agv, entry, wend, stage = lab.agv, lab.entry, lab.wend, lab.stage
     for erid, dest, w in g.moves[lab.node]:
         if allowed is not None and (erid not in allowed or dest not in allowed):
             continue
         dest_windows = tg.gaps_full(dest, agv)
+        reach = entry + w
         for es, ee in tg.gaps_full(erid, agv):
-            if es > lab.wend:
+            if es > wend:
                 break
-            if ee < lab.entry + w or ee - es < w:
+            if ee < reach or ee - es < w:
                 continue
             for ds, de in dest_windows:
-                if ds - w > lab.wend or ds > ee:
+                if ds - w > wend or ds > ee:
                     break
-                if de <= lab.entry + w:
+                if de <= reach:
                     continue
-                dep = max(lab.entry, es, ds - w)
+                dep = max(entry, es, ds - w)
                 arr = dep + w
-                if dep > lab.wend or arr > ee or arr >= de:
+                if dep > wend or arr > ee or arr >= de:
                     continue
-                push(
-                    _Label(agv, dest, ds, de, arr, lab.stage, lab, (erid, dep, arr))
-                )
+                push(agv, dest, ds, de, arr, stage, lab, (erid, dep, arr))
 
 
 def _search(tg: TimeGraph, sources, stages, guide: GuideFn, earliest: int, allowed):
@@ -217,24 +216,28 @@ def _search(tg: TimeGraph, sources, stages, guide: GuideFn, earliest: int, allow
     seq = itertools.count()
     best = {}
 
-    def push(lab):
-        key = (lab.agv, lab.node, lab.wstart, lab.stage)
+    def push(agv, node, wstart, wend, entry, stage, parent, via):
+        # Dominance first: most candidate labels lose to one already queued,
+        # so the label is only built once it is known to be kept.
+        key = (agv, node, wstart, stage)
         old = best.get(key)
-        if old is not None and old <= lab.entry:
+        if old is not None and old <= entry:
             return
-        best[key] = lab.entry
-        f = lab.entry + guide(lab.node, lab.stage)
-        heapq.heappush(heap, (f, lab.entry, -lab.stage, lab.node, next(seq), lab))
+        best[key] = entry
+        lab = _Label(agv, node, wstart, wend, entry, stage, parent, via)
+        f = entry + guide(node, stage)
+        heapq.heappush(heap, (f, entry, -stage, node, next(seq), lab))
 
     for agv, spec in sources:
-        lab, prefix = _source_label(tg, agv, spec, earliest)
-        if lab is None:
+        start, prefix = _source_label(tg, agv, spec, earliest)
+        if start is None:
             continue
-        if allowed is not None and lab.node not in allowed:
+        node, ws, we, entry = start
+        if allowed is not None and node not in allowed:
             continue
         if prefix is not None:
             prefixes[agv] = prefix
-        push(lab)
+        push(agv, node, ws, we, entry, 0, None, None)
 
     while heap:
         lab = heapq.heappop(heap)[-1]
@@ -249,21 +252,17 @@ def _search(tg: TimeGraph, sources, stages, guide: GuideFn, earliest: int, allow
             if lab.stage == K - 1:
                 ok = lab.wend == INF if not is_finite(st.stop) else lab.entry + st.stop <= lab.wend
                 if ok:
-                    push(
-                        _Label(lab.agv, lab.node, lab.wstart, lab.wend, lab.entry, K, lab, None)
-                    )
+                    push(lab.agv, lab.node, lab.wstart, lab.wend, lab.entry, K, lab, None)
             elif lab.entry + st.stop <= lab.wend:
                 push(
-                    _Label(
-                        lab.agv,
-                        lab.node,
-                        lab.wstart,
-                        lab.wend,
-                        lab.entry + st.stop,
-                        lab.stage + 1,
-                        lab,
-                        None,
-                    )
+                    lab.agv,
+                    lab.node,
+                    lab.wstart,
+                    lab.wend,
+                    lab.entry + st.stop,
+                    lab.stage + 1,
+                    lab,
+                    None,
                 )
         _expand_moves(tg, lab, allowed, push)
     return None, prefixes

@@ -86,6 +86,11 @@ def materialise(sc: Scenario):
 def validate_scenario(sc: Scenario):
     """Violation or error text if the scenario is unusable, else None."""
     try:
+        for name in ("stop_pickup", "stop_dropoff"):
+            stop = getattr(sc, name)
+            # bool is an int subclass, but true/false is no tick count
+            if type(stop) is not int or stop < 0:
+                raise InvalidParameterError(f"{name} must be a tick count >= 0, got {stop!r}")
         g, links, placements, demands = materialise(sc)
         check_demands(g, demands)
         if sc.preset not in PRESETS:

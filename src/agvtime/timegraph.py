@@ -11,7 +11,7 @@ import io
 from dataclasses import dataclass
 
 from .graph import ResourceGraph
-from .intervals import INF, AgvId, GapTree, Interval, fmt_tick
+from .intervals import AgvId, GapTree, Interval, fmt_tick
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,7 +39,6 @@ class TimeGraph:
     def __init__(self, g: ResourceGraph):
         self.graph = g
         self.trees = [GapTree() for _ in range(g.num_resources)]
-        self._gap_cache = {}
 
     def tree(self, rid: int) -> GapTree:
         return self.trees[rid]
@@ -62,15 +61,9 @@ class TimeGraph:
         return self.trees[resource].gap_query(agv, window)
 
     def gaps_full(self, resource: int, agv: AgvId):
-        """All gaps for agv over [0, INF), cached until the tree changes."""
-        tree = self.trees[resource]
-        key = (resource, agv)
-        hit = self._gap_cache.get(key)
-        if hit is not None and hit[0] == tree.version:
-            return hit[1]
-        gaps = tuple((g.start, g.end) for g in tree.gap_query(agv, _EVERYTHING))
-        self._gap_cache[key] = (tree.version, gaps)
-        return gaps
+        """All gaps for agv over [0, INF) as (start, end) tuples, memoised on
+        the resource's tree until it next changes."""
+        return self.trees[resource].gaps_full(agv)
 
     def holders_to_infinity(self, resource: int) -> frozenset[AgvId]:
         return self.trees[resource].holders_to_infinity()
@@ -96,9 +89,6 @@ class TimeGraph:
                     break
                 clip.append((rid, s, min(e, horizon), ids))
         return clip
-
-
-_EVERYTHING = Interval(0, INF)
 
 
 def audit_safety(tg: TimeGraph, occupations) -> SafetyViolation | None:

@@ -148,6 +148,12 @@ def random_op(rng, tree, oracle):
     else:
         got = [(g.start, g.end) for g in tree.gap_query(agv, w)]
         assert got == oracle.gaps(agv, w), f"gap mismatch for agv {agv} in {w}"
+        # the memoised full-range read, which inserts and removes must expire
+        full = tree.gaps_full(agv)
+        everything = iv(0, INF)
+        assert list(full) == [(g.start, g.end) for g in tree.gap_query(agv, everything)]
+        clipped = [(s, min(e, HORIZON)) for s, e in full if s < HORIZON]
+        assert clipped == oracle.gaps(agv, everything), f"full-range gap mismatch for agv {agv}"
 
 
 def test_differential_small_sequences():

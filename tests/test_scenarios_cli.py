@@ -254,6 +254,31 @@ def test_cli_invalid_parameters_exit_code(tmp_path, capsys):
     assert code == EXIT_INVALID
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "invalid"
+    # an inverted interval and an off-graph resource
+    for inject in ("n10,0,50,20", "99999,0,0,5"):
+        code = main(
+            ["run", "--grid", "6", "--agvs", "2", "--demands", "0",
+             "--inject", inject, "--out", str(tmp_path / "inject")]
+        )
+        assert code == EXIT_INVALID, inject
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, lines
+        assert json.loads(lines[0])["error"] == "invalid"
+
+
+@pytest.mark.parametrize("stop", [2.5, True, -1, "3"])
+def test_cli_rejects_non_integer_stop_ticks(tmp_path, stop):
+    sc = generate(grid=6, agvs=2, demands=3, seed=2)
+    for field in ("stop_pickup", "stop_dropoff"):
+        f = tmp_path / f"{field}.json"
+        doc = json.loads(to_json(sc))
+        doc[field] = stop
+        f.write_text(json.dumps(doc))
+        res = run_cli(["run", "--scenario", str(f), "--out", str(tmp_path / field)])
+        assert res.returncode == EXIT_INVALID, res.stderr
+        assert "Traceback" not in res.stderr
+        assert json.loads(res.stderr.strip())["error"] == "invalid"
+        assert not (tmp_path / field / "timetable.json").exists()
 
 
 def test_cli_stalled_anchorisation_exit_code(tmp_path, capsys):

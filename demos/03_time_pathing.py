@@ -3,13 +3,12 @@
 Run: python3 demos/03_time_pathing.py
 """
 
-from agvtime.graph import build_grid, distance_table
+from agvtime.graph import build_grid
 from agvtime.intervals import Interval
 from agvtime.pathing import (
     SourceSpec,
     Stage,
     manhattan_guide,
-    table_guide,
     time_path,
     zero_guide,
 )
@@ -40,15 +39,13 @@ def main():
     used = {s.resource for s in p2.steps}
     print(f"  detours around it: {middle not in used}")
 
-    # Same search with three different guides; arrivals must agree because
+    # Same search with two different guides; arrivals must agree because
     # every guide is an optimistic travel-time estimate.
     stages = [Stage({middle}, 5), Stage({dst}, 0)]
-    table = distance_table(g)
     arrivals = {}
     for name, guide in (
         ("zero", zero_guide(g, stages)),
         ("manhattan", manhattan_guide(g, stages)),
-        ("table", table_guide(g, stages, table)),
     ):
         q = time_path(tg, 1, SourceSpec(src), stages, guide=guide)
         arrivals[name] = q.arrival

@@ -24,7 +24,6 @@ from .graph import (
     Violation,
     build_adjacency_links,
     build_grid,
-    distance_table,
     manhattan_bound,
     spatial_path,
     subdivide,
@@ -39,7 +38,6 @@ from .pathing import (
     manhattan_guide,
     multi_source_time_path,
     route_corridor,
-    table_guide,
     time_path,
     zero_guide,
 )
@@ -90,7 +88,6 @@ __all__ = [
     "build_adjacency_links",
     "build_grid",
     "build_timetable",
-    "distance_table",
     "from_json",
     "generate",
     "greedy_anchorise",
@@ -106,7 +103,6 @@ __all__ = [
     "route_corridor",
     "spatial_path",
     "subdivide",
-    "table_guide",
     "time_path",
     "to_json",
     "validate",

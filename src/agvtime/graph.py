@@ -15,10 +15,6 @@ r itself; ``boundary[r]`` the shell at exactly the radius.
 import heapq
 from dataclasses import dataclass, field
 
-import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
-
 
 class InvalidParameterError(ValueError):
     pass
@@ -274,13 +270,13 @@ def manhattan_bound(g: ResourceGraph, u: int, v: int) -> int:
     return g.unit_weight * (abs(x1 - x2) + abs(y1 - y2))
 
 
-def spatial_path(g, frm, to, forbidden=frozenset(), guide="none", table=None):
+def spatial_path(g, frm, to, forbidden=frozenset(), guide="none"):
     """Cheapest node/edge path from ``frm`` to ``to`` avoiding forbidden nodes.
 
     Returns (resources, cost) where resources alternate node, edge, node and
     both endpoints are nodes, or None when no path exists. ``guide`` picks the
-    search heuristic: "none" (uniform), "manhattan", or "table" (pass the
-    matrix from distance_table).
+    search heuristic: "none" (uniform) or "manhattan" (embedded
+    uniform-weight graphs only).
     """
     if frm == to:
         return [frm], 0
@@ -289,10 +285,6 @@ def spatial_path(g, frm, to, forbidden=frozenset(), guide="none", table=None):
 
     if guide == "manhattan":
         h = lambda v: manhattan_bound(g, v, to)
-    elif guide == "table":
-        if table is None:
-            raise InvalidParameterError("table guide needs a distance table")
-        h = lambda v: table[v][to]
     elif guide == "none":
         h = lambda v: 0
     else:
@@ -323,19 +315,3 @@ def spatial_path(g, frm, to, forbidden=frozenset(), guide="none", table=None):
                 heapq.heappush(heap, (nc + h(u), nc, u))
     return None
 
-
-def distance_table(g: ResourceGraph) -> np.ndarray:
-    """All-pairs least travel ticks between nodes; inf when unreachable."""
-    rows, cols, vals = [], [], []
-    seen = {}
-    for e in g.edges:
-        pairs = [(e.a, e.b)] if e.directed else [(e.a, e.b), (e.b, e.a)]
-        for a, b in pairs:
-            if (a, b) not in seen or e.weight < seen[(a, b)]:
-                seen[(a, b)] = e.weight
-    for (a, b), w in seen.items():
-        rows.append(a)
-        cols.append(b)
-        vals.append(w)
-    m = coo_matrix((vals, (rows, cols)), shape=(g.num_nodes, g.num_nodes))
-    return _sp_dijkstra(m.tocsr(), directed=True)

@@ -76,21 +76,25 @@ def check_stages(stages) -> None:
             raise InvalidParameterError("infinite stop before the final stage")
 
 
+def check_source(g: ResourceGraph, spec: SourceSpec) -> int | None:
+    """Head node of an edge source, None for a node source; raises
+    InvalidParameterError when ``spec`` is no position on ``g``."""
+    if not 0 <= spec.resource < g.num_resources:
+        raise InvalidParameterError(f"source resource {spec.resource} is not on the graph")
+    if g.is_node(spec.resource):
+        if spec.elapsed:
+            raise InvalidParameterError("elapsed ticks only apply to edge sources")
+        return None
+    edge = g.edge_at(spec.resource)
+    if not 0 <= spec.elapsed < edge.weight:
+        raise InvalidParameterError("elapsed ticks outside the edge")
+    head = spec.toward if spec.toward is not None else edge.b
+    if type(head) is not int or head not in (edge.a, edge.b) or (edge.directed and head != edge.b):
+        raise InvalidParameterError(f"toward {head!r} is not a reachable endpoint")
+    return head
+
+
 GuideFn = Callable[[int, int], float]
-
-
-def _suffix_constants(stages, pair_cost):
-    """suffix[k] = guide mass of everything after reaching stage k's target.
-
-    ``pair_cost(j)`` lower-bounds travel from stage j's targets to stage j+1's.
-    Stops count for every stage except the last, whose stop does not delay the
-    arrival objective.
-    """
-    K = len(stages)
-    suffix = [0.0] * (K + 1)
-    for k in range(K - 2, -1, -1):
-        suffix[k] = suffix[k + 1] + pair_cost(k) + stages[k].stop
-    return suffix
 
 
 def zero_guide(g: ResourceGraph, stages) -> GuideFn:
@@ -109,29 +113,18 @@ def manhattan_guide(g: ResourceGraph, stages) -> GuideFn:
         return unit * min(abs(vx - tx) + abs(vy - ty) for tx, ty in targets)
 
     tcoords = [tuple(coords[t] for t in st.targets) for st in stages]
-    suffix = _suffix_constants(
-        stages, lambda j: min(dist(a, tcoords[j + 1]) for a in stages[j].targets)
-    )
+    # suffix[k]: guide mass of everything after reaching stage k's target.
+    # Stops count for every stage except the last, whose stop does not delay
+    # the arrival objective.
+    suffix = [0.0] * (K + 1)
+    for k in range(K - 2, -1, -1):
+        pair = min(dist(a, tcoords[k + 1]) for a in stages[k].targets)
+        suffix[k] = suffix[k + 1] + pair + stages[k].stop
 
     def h(node, stage):
         if stage >= K:
             return 0.0
         return dist(node, tcoords[stage]) + suffix[stage]
-
-    return h
-
-
-def table_guide(g: ResourceGraph, stages, table) -> GuideFn:
-    K = len(stages)
-    per_stage = [table[:, sorted(st.targets)].min(axis=1) for st in stages]
-    suffix = _suffix_constants(
-        stages, lambda j: min(per_stage[j + 1][a] for a in stages[j].targets)
-    )
-
-    def h(node, stage):
-        if stage >= K:
-            return 0.0
-        return per_stage[stage][node] + suffix[stage]
 
     return h
 
@@ -155,19 +148,13 @@ def _source_label(tg: TimeGraph, agv: AgvId, spec: SourceSpec, earliest: int):
     edge prefix step when it starts mid-edge; (None, None) when blocked."""
     g = tg.graph
     rid = spec.resource
-    if g.is_node(rid):
-        if spec.elapsed:
-            raise InvalidParameterError("elapsed ticks only apply to edge sources")
+    head = check_source(g, spec)
+    if head is None:
         for ws, we in tg.gaps_full(rid, agv):
             if ws <= earliest < we:
                 return (rid, ws, we, earliest), None
         return None, None
     edge = g.edge_at(rid)
-    if not 0 <= spec.elapsed < edge.weight:
-        raise InvalidParameterError("elapsed ticks outside the edge")
-    head = spec.toward if spec.toward is not None else edge.b
-    if head not in (edge.a, edge.b) or (edge.directed and head != edge.b):
-        raise InvalidParameterError("toward is not a reachable endpoint")
     tau = earliest + (edge.weight - spec.elapsed)
     covered = tg.gap_query(rid, agv, Interval(earliest, tau))
     if not (len(covered) == 1 and covered[0].covers(Interval(earliest, tau))):
@@ -332,7 +319,6 @@ def route_corridor(
     waypoints,
     *,
     guide: str = "none",
-    table=None,
 ) -> frozenset[int] | None:
     """Resources touched by shortest spatial legs between consecutive waypoints.
 
@@ -342,7 +328,7 @@ def route_corridor(
     allowed = set()
     for a, b in zip(waypoints, waypoints[1:]):
         forbidden = g.anchors - {a, b}
-        leg = spatial_path(g, a, b, forbidden=forbidden, guide=guide, table=table)
+        leg = spatial_path(g, a, b, forbidden=forbidden, guide=guide)
         if leg is None:
             return None
         allowed.update(leg[0])

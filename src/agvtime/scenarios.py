@@ -21,7 +21,7 @@ from .graph import (
     subdivide,
     validate,
 )
-from .pathing import SourceSpec
+from .pathing import SourceSpec, check_source
 from .scheduling import ANCHORISERS, PRESETS, Demand, check_demands
 
 
@@ -39,10 +39,24 @@ class Scenario:
     stop_dropoff: int = 0
 
 
-def _graph_from_spec(spec: dict) -> ResourceGraph:
-    kind = spec.get("type")
+def _int(value, what: str, low: int = 0) -> int:
+    """``value`` if it is an integer >= ``low``; true/false are no integers here."""
+    if type(value) is not int or value < low:
+        raise InvalidParameterError(f"{what} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _ints(entry, what: str, *keys, **defaults):
+    """Integer fields of one JSON object: ``keys`` required, ``defaults`` optional."""
+    if not isinstance(entry, dict) or any(k not in entry for k in keys):
+        raise InvalidParameterError(f"{what} must be an object with {', '.join(keys)}")
+    return [_int(entry.get(k, defaults.get(k)), f"{what} {k}") for k in (*keys, *defaults)]
+
+
+def _graph_from_spec(spec) -> ResourceGraph:
+    kind = spec.get("type") if isinstance(spec, dict) else None
     if kind == "grid":
-        return build_grid(spec["n"], spec["weight"])
+        return build_grid(*_ints(spec, "grid graph", "n", "weight"))
     if kind == "explicit":
         edges = [
             Edge(e[0], e[1], e[2], bool(e[3]) if len(e) > 3 else False)
@@ -59,51 +73,43 @@ def _graph_from_spec(spec: dict) -> ResourceGraph:
     raise InvalidParameterError(f"unknown graph spec type {kind!r}")
 
 
-def materialise(sc: Scenario):
-    """Build the runnable pieces: subdivided graph, links, placements, demands."""
-    base = _graph_from_spec(sc.graph)
-    if sc.subdivisions < 1:
-        raise InvalidParameterError("subdivisions must be at least 1")
-    if sc.link_radius < 1:
-        raise InvalidParameterError("link radius must be at least 1")
-    g = subdivide(base, sc.subdivisions)
-    links = build_adjacency_links(g, sc.link_radius)
+def _graph_and_fleet(sc: Scenario):
+    """Subdivided graph, placements and demands, checked: materialise minus links."""
+    g = subdivide(_graph_from_spec(sc.graph), _int(sc.subdivisions, "subdivisions", 1))
+    _int(sc.link_radius, "link radius", 1)
     placements = {}
     for p in sc.placements:
-        agv = p["agv"]
+        agv, rid, elapsed = _ints(p, "placement", "agv", "resource", elapsed=0)
         if agv in placements:
             raise InvalidParameterError(f"duplicate placement for AGV {agv}")
-        placements[agv] = SourceSpec(
-            p["resource"], p.get("elapsed", 0), p.get("toward")
-        )
-    demands = tuple(
-        Demand(d["id"], d["pickup"], d["dropoff"], d.get("horizon", 0))
-        for d in sc.demands
-    )
-    return g, links, placements, demands
+        spec = SourceSpec(rid, elapsed, p.get("toward"))
+        check_source(g, spec)
+        if any(spec.resource == q.resource for q in placements.values()):
+            raise InvalidParameterError("two AGVs share a resource")
+        placements[agv] = spec
+    demands = tuple(Demand(*_ints(d, "demand", "id", "pickup", "dropoff", horizon=0)) for d in sc.demands)
+    return g, placements, demands
+
+
+def materialise(sc: Scenario):
+    """Build the runnable pieces: subdivided graph, links, placements, demands."""
+    g, placements, demands = _graph_and_fleet(sc)
+    return g, build_adjacency_links(g, sc.link_radius), placements, demands
 
 
 def validate_scenario(sc: Scenario):
     """Violation or error text if the scenario is unusable, else None."""
     try:
         for name in ("stop_pickup", "stop_dropoff"):
-            stop = getattr(sc, name)
-            # bool is an int subclass, but true/false is no tick count
-            if type(stop) is not int or stop < 0:
-                raise InvalidParameterError(f"{name} must be a tick count >= 0, got {stop!r}")
-        g, links, placements, demands = materialise(sc)
+            _int(getattr(sc, name), name)
+        if type(sc.seed) is not int:
+            raise InvalidParameterError(f"seed must be an integer, got {sc.seed!r}")
+        g, placements, demands = _graph_and_fleet(sc)
         check_demands(g, demands)
         if sc.preset not in PRESETS:
             raise InvalidParameterError(f"unknown preset {sc.preset!r}")
         if sc.anchoriser not in ANCHORISERS:
             raise InvalidParameterError(f"unknown anchoriser {sc.anchoriser!r}")
-        seen = set()
-        for spec in placements.values():
-            if not 0 <= spec.resource < g.num_resources:
-                raise InvalidParameterError("placement off the graph")
-            if spec.resource in seen:
-                raise InvalidParameterError("two AGVs share a resource")
-            seen.add(spec.resource)
     except InvalidParameterError as err:
         return str(err)
     return validate(g, len(placements))
@@ -127,6 +133,8 @@ def to_json(sc: Scenario) -> str:
 
 def from_json(text: str) -> Scenario:
     doc = json.loads(text)
+    if not (isinstance(doc, dict) and all(isinstance(doc.get(k), list) for k in ("placements", "demands"))):
+        raise InvalidParameterError("a scenario is an object with placements and demands lists")
     return Scenario(
         graph=doc["graph"],
         placements=tuple(doc["placements"]),

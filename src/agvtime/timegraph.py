@@ -7,11 +7,10 @@ between different AGVs are legal; only someone else's reservation crossing a
 base occupation is a conflict.
 """
 
-import io
 from dataclasses import dataclass
 
 from .graph import ResourceGraph
-from .intervals import AgvId, GapTree, Interval, fmt_tick
+from .intervals import AgvId, GapTree, Interval
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,14 +39,8 @@ class TimeGraph:
         self.graph = g
         self.trees = [GapTree() for _ in range(g.num_resources)]
 
-    def tree(self, rid: int) -> GapTree:
-        return self.trees[rid]
-
     def reserve(self, resource: int, agv: AgvId, ivl: Interval) -> None:
         self.trees[resource].insert(agv, ivl)
-
-    def release(self, resource: int, agv: AgvId, ivl: Interval) -> None:
-        self.trees[resource].remove(agv, ivl)
 
     def reserve_all(self, reservations) -> None:
         for r in reservations:
@@ -67,28 +60,6 @@ class TimeGraph:
 
     def holders_to_infinity(self, resource: int) -> frozenset[AgvId]:
         return self.trees[resource].holders_to_infinity()
-
-    def dump_csv(self) -> str:
-        """Stable ``resource,agv,start,end`` listing of every held interval."""
-        out = io.StringIO()
-        out.write("resource,agv,start,end\n")
-        for rid, tree in enumerate(self.trees):
-            for s, e, ids in tree.intervals():
-                for agv in sorted(ids):
-                    out.write(f"{self.graph.describe(rid)},{agv},{s},{fmt_tick(e)}\n")
-        return out.getvalue()
-
-    def snapshot_before(self, horizon: int):
-        """Stored intervals clipped to [0, horizon), for immutability checks."""
-        if horizon <= 0:
-            return []
-        clip = []
-        for rid, tree in enumerate(self.trees):
-            for s, e, ids in tree.intervals():
-                if s >= horizon:
-                    break
-                clip.append((rid, s, min(e, horizon), ids))
-        return clip
 
 
 def audit_safety(tg: TimeGraph, occupations) -> SafetyViolation | None:

@@ -1,13 +1,16 @@
-"""Brute-force reference models used by the differential tests.
+"""Brute-force reference models and inspection helpers used by the tests.
 
-Both oracles deliberately share no code or data layout with the engine:
-TimelineOracle tracks one python set per tick, and the schedule oracle does a
-breadth-first sweep over (resource, tick, stage) states.
+The oracles deliberately share no code or data layout with the engine:
+TimelineOracle tracks one python set per tick, the schedule oracle does a
+breadth-first sweep over (resource, tick, stage) states, and shortest_ticks
+runs its own Dijkstra over the raw edge list. dump_csv and snapshot_before
+read a TimeGraph's stored intervals for equality and immutability checks.
 """
 
 import heapq
+import io
 
-from agvtime.intervals import INF, Interval
+from agvtime.intervals import INF, Interval, fmt_tick
 
 
 class TimelineOracle:
@@ -113,3 +116,47 @@ def exhaustive_earliest_arrival(graph, busy, agv, source_node, start_tick, stage
             if edge_free(erid, t, t + w) and node_free(dest, t + w):
                 heapq.heappush(heap, (t + w, dest, stage))
     return None
+
+
+def shortest_ticks(graph, source):
+    """Least travel ticks from ``source`` to every node reachable from it."""
+    adj = {}
+    for e in graph.edges:
+        adj.setdefault(e.a, []).append((e.b, e.weight))
+        if not e.directed:
+            adj.setdefault(e.b, []).append((e.a, e.weight))
+    dist = {}
+    heap = [(0, source)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in dist:
+            continue
+        dist[v] = d
+        for u, w in adj.get(v, ()):
+            if u not in dist:
+                heapq.heappush(heap, (d + w, u))
+    return dist
+
+
+def dump_csv(tg):
+    """Stable ``resource,agv,start,end`` listing of every held interval."""
+    out = io.StringIO()
+    out.write("resource,agv,start,end\n")
+    for rid, tree in enumerate(tg.trees):
+        for s, e, ids in tree.intervals():
+            for agv in sorted(ids):
+                out.write(f"{tg.graph.describe(rid)},{agv},{s},{fmt_tick(e)}\n")
+    return out.getvalue()
+
+
+def snapshot_before(tg, horizon):
+    """Stored intervals clipped to [0, horizon), for immutability checks."""
+    if horizon <= 0:
+        return []
+    clip = []
+    for rid, tree in enumerate(tg.trees):
+        for s, e, ids in tree.intervals():
+            if s >= horizon:
+                break
+            clip.append((rid, s, min(e, horizon), ids))
+    return clip

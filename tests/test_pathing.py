@@ -9,7 +9,6 @@ from agvtime.graph import (
     InvalidParameterError,
     ResourceGraph,
     build_grid,
-    distance_table,
 )
 from agvtime.intervals import INF, Interval
 from agvtime.pathing import (
@@ -19,7 +18,6 @@ from agvtime.pathing import (
     manhattan_guide,
     multi_source_time_path,
     route_corridor,
-    table_guide,
     time_path,
     zero_guide,
 )
@@ -152,15 +150,6 @@ def test_manhattan_guide_values():
     assert two(m, 1) == 5000 * 4
 
 
-def test_table_guide_matches_exact_distances():
-    g = build_grid(4, 10)
-    table = distance_table(g)
-    t = rid_at(g, (2, 2))
-    guide = table_guide(g, [Stage({t}, 0)], table)
-    for v in range(g.num_nodes):
-        assert guide(v, 0) == table[v, t]
-
-
 def seeded_setup(seed, weight=2):
     rng = random.Random(seed)
     g = build_grid(4, weight)
@@ -200,16 +189,11 @@ def test_matches_exhaustive_search():
 def test_guides_agree_on_arrival():
     for seed in range(40, 60):
         g, tg, busy, src, stages = seeded_setup(seed, weight=10)
-        table = distance_table(g)
         results = []
-        for guide in (
-            zero_guide(g, stages),
-            manhattan_guide(g, stages),
-            table_guide(g, stages, table),
-        ):
+        for guide in (zero_guide(g, stages), manhattan_guide(g, stages)):
             p = time_path(tg, 1, SourceSpec(src), stages, guide=guide)
             results.append(None if p is None else p.arrival)
-        assert results[0] == results[1] == results[2], seed
+        assert results[0] == results[1], seed
 
 
 def test_search_is_deterministic():

@@ -281,6 +281,50 @@ def test_cli_rejects_non_integer_stop_ticks(tmp_path, stop):
         assert not (tmp_path / field / "timetable.json").exists()
 
 
+def _edge_placement(doc, elapsed):
+    # AGV 1 starts on the first edge, `elapsed` ticks along it (weight 10)
+    doc["placements"][0] = {"agv": 1, "resource": build_grid(6, 10).num_nodes, "elapsed": elapsed}
+
+
+MALFORMED = {
+    "demand-without-pickup": lambda doc: doc["demands"][0].pop("pickup"),
+    "graph-is-a-list": lambda doc: doc.update(graph=[1, 2]),
+    "grid-n-is-a-string": lambda doc: doc["graph"].update(n="6"),
+    "subdivisions-is-a-string": lambda doc: doc.update(subdivisions="2"),
+    "placement-resource-is-a-string": lambda doc: doc["placements"][0].update(resource="3"),
+    "elapsed-outside-its-edge": lambda doc: _edge_placement(doc, 10),
+    "fractional-horizon": lambda doc: doc["demands"][0].update(horizon=7.5),
+    "fractional-elapsed": lambda doc: _edge_placement(doc, 2.5),
+    "fractional-pickup": lambda doc: doc["demands"][0].update(pickup=float(doc["demands"][0]["pickup"])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_cli_rejects_malformed_scenario_fields(tmp_path, case):
+    doc = json.loads(to_json(generate(grid=6, agvs=2, demands=3, seed=2)))
+    MALFORMED[case](doc)
+    f = tmp_path / "scenario.json"
+    f.write_text(json.dumps(doc))
+    res = run_cli(["run", "--scenario", str(f), "--out", str(tmp_path / "out")])
+    assert res.returncode == EXIT_INVALID, res.stderr
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0])["error"] == "invalid"
+    assert not (tmp_path / "out" / "timetable.json").exists()
+
+
+def test_import_loads_only_the_standard_library():
+    probe = (
+        "import json, sys; before = set(sys.modules); import agvtime; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    tops = {name.partition(".")[0] for name in json.loads(res.stdout)}
+    assert tops - sys.stdlib_module_names == {"agvtime"}
+
+
 def test_cli_stalled_anchorisation_exit_code(tmp_path, capsys):
     f = tmp_path / "stall.json"
     f.write_text(to_json(stalling_scenario()))

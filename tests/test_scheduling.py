@@ -8,7 +8,6 @@ from agvtime.graph import (
     ResourceGraph,
     build_adjacency_links,
     build_grid,
-    distance_table,
     subdivide,
 )
 from agvtime.intervals import INF
@@ -22,6 +21,8 @@ from agvtime.scheduling import (
     metrics,
 )
 from agvtime.timegraph import audit_safety
+
+from oracles import shortest_ticks, snapshot_before
 
 
 def rid_at(g, xy):
@@ -78,8 +79,11 @@ def test_one_demand_route_is_shortest():
     assert_clean(tt)
     route = tt.paths[1][-1]
     chosen = route.steps[-1].resource
-    D = distance_table(g)
-    want = D[start, pickup] + D[pickup, dropoff] + D[dropoff, chosen]
+    want = (
+        shortest_ticks(g, start)[pickup]
+        + shortest_ticks(g, pickup)[dropoff]
+        + shortest_ticks(g, dropoff)[chosen]
+    )
     assert route.arrival == want
 
 
@@ -124,7 +128,7 @@ def test_earlier_batches_never_rewritten():
     later = [Demand(2, rid_at(g, (2, 2)), rid_at(g, (1, 3)), horizon=40)]
     only_first = build(g, placements, first, seed=9)
     both = build(g, placements, first + later, seed=9)
-    assert both.tg.snapshot_before(40) == only_first.tg.snapshot_before(40)
+    assert snapshot_before(both.tg, 40) == snapshot_before(only_first.tg, 40)
     assert_clean(both)
 
 

@@ -4,6 +4,8 @@ from agvtime.graph import build_grid
 from agvtime.intervals import INF, Interval
 from agvtime.timegraph import Reservation, TimeGraph, audit_safety
 
+from oracles import dump_csv, snapshot_before
+
 
 def make_tg():
     return TimeGraph(build_grid(4, 10))
@@ -11,16 +13,16 @@ def make_tg():
 
 def test_reserve_release_roundtrip():
     tg = make_tg()
-    before = tg.dump_csv()
+    before = dump_csv(tg)
     items = [
         Reservation(0, 1, Interval(5, 9)),
         Reservation(12, 1, Interval(9, 14)),
         Reservation(0, 2, Interval(7, 20)),
     ]
     tg.reserve_all(items)
-    assert tg.dump_csv() != before
+    assert dump_csv(tg) != before
     tg.remove_all(items)
-    assert tg.dump_csv() == before
+    assert dump_csv(tg) == before
 
 
 def test_gap_query_sees_own_as_free():
@@ -59,7 +61,7 @@ def test_dump_csv_rows():
     tg = make_tg()
     tg.reserve(1, 3, Interval(0, INF))
     tg.reserve(12, 3, Interval(5, 8))
-    text = tg.dump_csv()
+    text = dump_csv(tg)
     lines = text.strip().splitlines()
     assert lines[0] == "resource,agv,start,end"
     assert "n1,3,0,inf" in lines
@@ -70,10 +72,10 @@ def test_snapshot_before_clips():
     tg = make_tg()
     tg.reserve(4, 1, Interval(5, 30))
     tg.reserve(4, 2, Interval(50, INF))
-    snap = tg.snapshot_before(20)
+    snap = snapshot_before(tg, 20)
     assert snap == [(4, 5, 20, frozenset({1}))]
-    assert tg.snapshot_before(0) == []
-    snap = tg.snapshot_before(60)
+    assert snapshot_before(tg, 0) == []
+    snap = snapshot_before(tg, 60)
     assert (4, 50, 60, frozenset({2})) in snap
 
 

@@ -32,6 +32,14 @@ def _report(kind: str, detail: str) -> None:
     print(json.dumps({"error": kind, "detail": detail}), file=sys.stderr)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors take the path of every other bad input: one JSON line, exit 2."""
+
+    def error(self, message):
+        _report("invalid", message)
+        sys.exit(EXIT_INVALID)
+
+
 def _add_generate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", type=int, help="grid side length")
     p.add_argument("--agvs", type=int, help="fleet size")
@@ -133,7 +141,7 @@ def _scenario_tag(sc: Scenario) -> str:
 def cmd_run(args) -> int:
     try:
         sc = _load_scenario(args)
-    except (OSError, json.JSONDecodeError, KeyError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         _report("invalid", f"cannot load scenario: {err}")
         return EXIT_INVALID
     except InvalidParameterError as err:
@@ -243,7 +251,7 @@ def cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    top = argparse.ArgumentParser(prog="agvtime", description=__doc__)
+    top = _Parser(prog="agvtime", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a seeded random scenario file")

@@ -7,8 +7,10 @@ which duplicates heavily since consecutive steps share most of their
 surroundings. The boundary expansion walks the path once, keeping a running
 frontier: resources can only enter or leave the moving footprint through the
 boundary shell, so per-step work scales with the shell size instead of the
-whole linked set. Both produce the same coverage; ``normalise`` puts either
-output into the canonical merged form.
+whole linked set. A zero-length pass-through step fuses with the dwell
+after it into one transition, whose sets are composed from the two pair
+transitions it spans. Both expansions produce the same coverage;
+``normalise`` puts either output into the canonical merged form.
 
 Link sets are treated reflexively throughout: a resource is always part of
 its own footprint, so base occupations come out of the expansion too.
@@ -91,27 +93,38 @@ def _pair_sets(linked, bound, a, b):
     return exits, entries
 
 
-def _fused_sets(linked, bound, a, mid, b):
-    """Exact exit and entry sets for a -> mid -> b with an instantaneous mid.
+def _fused_sets(first, second):
+    """Exit and entry sets for a -> mid -> b with an instantaneous mid,
+    composed from the pair transitions a -> mid and mid -> b.
 
-    A resource leaving a's footprint straight into b's never loses coverage,
-    so it is neither an exit nor an entry here, and one only brushed by mid's
-    footprint for the instant contributes nothing at all.
+    A resource that exits on one leg and re-enters on the other never loses
+    coverage, and one that enters and leaves mid's footprint in the same
+    instant is never covered, so either drops out of both sets.
     """
-    La, Lmid, Lb = linked[a], linked[mid], linked[b]
-    if mid not in La or b not in Lmid:
-        raise PathShapeError(f"path steps between unlinked resources near {mid}")
-    exits = tuple(
-        p for p in bound[a] if p != mid and p not in Lmid and p != b and p not in Lb
-    ) + tuple(
-        p for p in bound[mid] if (p == a or p in La) and p != b and p not in Lb
-    )
-    entries = tuple(
-        q for q in bound[mid] if (q == b or q in Lb) and q != a and q not in La
-    ) + tuple(
-        q for q in bound[b] if q != mid and q not in Lmid and q != a and q not in La
-    )
+    x1, n1 = first
+    x2, n2 = second
+    exits = tuple(p for p in x1 if p not in n2) + tuple(p for p in x2 if p not in n1)
+    entries = tuple(q for q in n1 if q not in x2) + tuple(q for q in n2 if q not in x1)
     return exits, entries
+
+
+def _transition(links: GeoLinks, a, key):
+    """Exit and entry sets for a step off ``a``, memoised on ``links``.
+
+    ``key`` is the resource stepped onto, or ``(mid, b)`` for a transition
+    fused through an instantaneous ``mid``; int and tuple keys share a's row.
+    """
+    row = links.transitions.setdefault(a, {})
+    sets = row.get(key)
+    if sets is None:
+        linked, bound = links.linked, links.boundary
+        if type(key) is tuple:
+            mid, b = key
+            sets = _fused_sets(_pair_sets(linked, bound, a, mid), _pair_sets(linked, bound, mid, b))
+        else:
+            sets = _pair_sets(linked, bound, a, key)
+        row[key] = sets
+    return sets
 
 
 def boundary_reservations(steps, links: GeoLinks, agv: AgvId, counter: WorkCounter | None = None):
@@ -122,114 +135,72 @@ def boundary_reservations(steps, links: GeoLinks, agv: AgvId, counter: WorkCount
     and each transition touches only the exact entry and exit sets, looked up
     from a cache on ``links`` keyed by the resource pair: the sets are static
     link geometry, so they amortise across paths. A zero-length pass-through
-    step fuses with the step after it into a single transition, which is what
-    keeps a resource that exits one footprint and immediately re-enters the
-    next one covered by one unbroken span.
+    step fuses with a positive-length step after it into a single
+    transition, whose sets are composed from the two pair transitions it
+    spans; that keeps a resource that exits one footprint and immediately
+    re-enters the next one covered by one unbroken span. Only two
+    zero-length steps in a row defeat fusion, and only then can a span
+    closed at an instant be touched by an entry at that instant.
     """
     chain = _checked_steps(steps)
     if not chain:
         return []
     out = []
     append = out.append
-    linked = links.linked
-    bound = links.boundary
     trans = links.transitions
+    ivl_of = Interval
+    res_of = Reservation
 
-    # Touching re-entries can still arise when consecutive zero-length steps
-    # defeat fusion; last_at remembers each resource's latest span so the
-    # touch extends it in place and the output stays exactly merged. On
-    # fully fused walks it stays empty.
+    # Spans closed by a plain transition onto an instant with steps after it
+    # are the ones a later entry can touch. last_at remembers each such
+    # resource's latest span so the touch extends it in place and the output
+    # stays exactly merged. Planner paths never have two instants in a row,
+    # so there it stays empty.
     last_at = {}
 
     # Every open interval shares the same right end (the current step's
     # end), so open_start maps resource -> start and v_end carries the end.
-    rid0, s0, e0 = chain[0]
-    open_start = dict.fromkeys(linked[rid0], s0)
-    open_start[rid0] = s0
-    v_end = e0
-    prev = rid0
+    prev, s0, v_end = chain[0]
+    open_start = dict.fromkeys(links.linked[prev], s0)
+    open_start[prev] = s0
     pop = open_start.pop
-    ivl_of = Interval
-    res_of = Reservation
     if counter is not None:
         counter.note(len(open_start))
 
-    def step_zero(rid, s1):
-        # Unfused transition onto a zero-length step. Spans closed while the
-        # clock stands still can be touched by a later re-entry, so every
-        # one gets recorded in last_at.
-        nonlocal prev, v_end
-        row = trans.get(prev)
-        if row is None:
-            row = trans[prev] = {}
-        pair = row.get(rid)
-        if pair is None:
-            pair = row[rid] = _pair_sets(linked, bound, prev, rid)
-        exits, entries = pair
+    i, n = 1, len(chain)
+    while i < n:
+        rid, s1, e1 = chain[i]
+        key = rid
+        i += 1
+        if s1 == e1 and i < n and (nxt := chain[i])[1] != nxt[2]:  # fuse the instant
+            rid, _, e1 = nxt
+            i += 1
+            key = (key, rid)
+        try:
+            exits, entries = trans[prev][key]
+        except KeyError:
+            exits, entries = _transition(links, prev, key)
         for p in exits:
             s2 = pop(p)
             if s2 != v_end:
                 if last_at and (j := last_at.get(p)) is not None and (r0 := out[j]).ivl.end == s2:
                     out[j] = res_of(p, agv, ivl_of(r0.ivl.start, v_end))
                 else:
-                    last_at[p] = len(out)
+                    if s1 == e1 and i < n:  # unfused instant: see last_at
+                        last_at[p] = len(out)
                     append(res_of(p, agv, ivl_of(s2, v_end)))
         for b in entries:
             open_start[b] = s1
         prev = rid
-        v_end = s1
-        if counter is not None:
-            counter.note(len(exits) + len(entries) + 2)
-
-    it = iter(chain)
-    next(it)
-    for rid, s1, e1 in it:
-        row = trans.get(prev)
-        if row is None:
-            row = trans[prev] = {}
-        if e1 != s1:
-            pair = row.get(rid)
-            if pair is None:
-                pair = row[rid] = _pair_sets(linked, bound, prev, rid)
-            nrid = rid
-            nv_end = e1
-        else:
-            nxt = next(it, None)
-            if nxt is None or nxt[2] == nxt[1]:
-                step_zero(rid, s1)
-                if nxt is not None:
-                    step_zero(nxt[0], nxt[1])
-                continue
-            # Fuse the instant with the following dwell. Int keys for plain
-            # transitions and tuple keys for fused ones share the row safely.
-            nrid = nxt[0]
-            key = (rid, nrid)
-            pair = row.get(key)
-            if pair is None:
-                pair = row[key] = _fused_sets(linked, bound, prev, rid, nrid)
-            nv_end = nxt[2]
-        exits, entries = pair
-        for p in exits:
-            s2 = pop(p)
-            if s2 != v_end:
-                # Spans closed here end before the clock next advances, so
-                # no later entry can touch them; skip the last_at store.
-                if last_at and (j := last_at.get(p)) is not None and (r0 := out[j]).ivl.end == s2:
-                    out[j] = res_of(p, agv, ivl_of(r0.ivl.start, v_end))
-                else:
-                    append(res_of(p, agv, ivl_of(s2, v_end)))
-        for b in entries:
-            open_start[b] = s1
-        prev = nrid
-        v_end = nv_end
+        v_end = e1
         if counter is not None:
             counter.note(len(exits) + len(entries) + 2)
     for p, s in open_start.items():
         if s != v_end:
             if last_at and (j := last_at.get(p)) is not None and (r0 := out[j]).ivl.end == s:
-                out[j] = Reservation(p, agv, Interval(r0.ivl.start, v_end))
+                out[j] = res_of(p, agv, ivl_of(r0.ivl.start, v_end))
             else:
-                append(Reservation(p, agv, Interval(s, v_end)))
+                append(res_of(p, agv, ivl_of(s, v_end)))
     return out
 
 

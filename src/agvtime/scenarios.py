@@ -7,9 +7,9 @@ fully seeded so a scenario file can always be recreated byte for byte.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
-from dataclasses import dataclass
 
 from .graph import (
     Edge,
@@ -25,7 +25,7 @@ from .pathing import SourceSpec, check_source
 from .scheduling import ANCHORISERS, PRESETS, Demand, check_demands
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Scenario:
     graph: dict
     placements: tuple
@@ -53,22 +53,35 @@ def _ints(entry, what: str, *keys, **defaults):
     return [_int(entry.get(k, defaults.get(k)), f"{what} {k}") for k in (*keys, *defaults)]
 
 
+def _list(value, what: str, *lengths) -> list:
+    """``value`` if it is a list, of lists with one of ``lengths`` items if any are given."""
+    if not isinstance(value, list) or lengths and any(not isinstance(r, list) or len(r) not in lengths for r in value):
+        shape = f" of {' or '.join(map(str, lengths))}-item lists" if lengths else ""
+        raise InvalidParameterError(f"{what} must be a list{shape}, got {value!r}")
+    return value
+
+
 def _graph_from_spec(spec) -> ResourceGraph:
     kind = spec.get("type") if isinstance(spec, dict) else None
     if kind == "grid":
         return build_grid(*_ints(spec, "grid graph", "n", "weight"))
     if kind == "explicit":
-        edges = [
-            Edge(e[0], e[1], e[2], bool(e[3]) if len(e) > 3 else False)
-            for e in spec["edges"]
-        ]
+        (num_nodes,) = _ints(spec, "explicit graph", "num_nodes")
+        edges = []
+        for e in _list(spec.get("edges"), "explicit graph edges", 3, 4):
+            if e[3:] not in ([], [False], [True]):
+                raise InvalidParameterError(f"edge direction must be true or false, got {e[3]!r}")
+            edges.append(Edge(*(_int(v, "edge endpoint or weight") for v in e[:3]), e[3:] == [True]))
         coords = spec.get("coords")
+        unit = spec.get("unit_weight")
         return ResourceGraph(
-            spec["num_nodes"],
+            num_nodes,
             edges,
-            frozenset(spec["anchors"]),
-            coords=[tuple(c) for c in coords] if coords else None,
-            unit_weight=spec.get("unit_weight"),
+            [_int(a, "anchor") for a in _list(spec.get("anchors"), "explicit graph anchors")],
+            coords=None if coords is None else [
+                tuple(_int(v, "coordinate") for v in c) for c in _list(coords, "explicit graph coords", 2)
+            ],
+            unit_weight=None if unit is None else _int(unit, "unit_weight", 1),
         )
     raise InvalidParameterError(f"unknown graph spec type {kind!r}")
 
@@ -108,6 +121,8 @@ def validate_scenario(sc: Scenario):
         check_demands(g, demands)
         if sc.preset not in PRESETS:
             raise InvalidParameterError(f"unknown preset {sc.preset!r}")
+        if "manhattan" in sc.preset and (g.coords is None or g.unit_weight is None):
+            raise InvalidParameterError(f"preset {sc.preset} needs graph coords and unit_weight")
         if sc.anchoriser not in ANCHORISERS:
             raise InvalidParameterError(f"unknown anchoriser {sc.anchoriser!r}")
     except InvalidParameterError as err:
@@ -116,37 +131,16 @@ def validate_scenario(sc: Scenario):
 
 
 def to_json(sc: Scenario) -> str:
-    doc = {
-        "graph": sc.graph,
-        "placements": list(sc.placements),
-        "demands": list(sc.demands),
-        "seed": sc.seed,
-        "preset": sc.preset,
-        "anchoriser": sc.anchoriser,
-        "subdivisions": sc.subdivisions,
-        "link_radius": sc.link_radius,
-        "stop_pickup": sc.stop_pickup,
-        "stop_dropoff": sc.stop_dropoff,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(dataclasses.asdict(sc), sort_keys=True, indent=2) + "\n"
 
 
 def from_json(text: str) -> Scenario:
+    """The scenario in ``text``; keys that are not ``Scenario`` fields are ignored."""
     doc = json.loads(text)
-    if not (isinstance(doc, dict) and all(isinstance(doc.get(k), list) for k in ("placements", "demands"))):
-        raise InvalidParameterError("a scenario is an object with placements and demands lists")
-    return Scenario(
-        graph=doc["graph"],
-        placements=tuple(doc["placements"]),
-        demands=tuple(doc["demands"]),
-        seed=doc.get("seed", 0),
-        preset=doc.get("preset", "full-zero"),
-        anchoriser=doc.get("anchoriser", "greedy"),
-        subdivisions=doc.get("subdivisions", 1),
-        link_radius=doc.get("link_radius", 1),
-        stop_pickup=doc.get("stop_pickup", 0),
-        stop_dropoff=doc.get("stop_dropoff", 0),
-    )
+    if not (isinstance(doc, dict) and "graph" in doc and all(isinstance(doc.get(k), list) for k in ("placements", "demands"))):
+        raise InvalidParameterError("a scenario is an object with a graph and placements and demands lists")
+    fields = {f.name: doc[f.name] for f in dataclasses.fields(Scenario) if f.name in doc}
+    return Scenario(**{**fields, "placements": tuple(doc["placements"]), "demands": tuple(doc["demands"])})
 
 
 def _spread_placements(g, links, count, rng, tries=4000):

@@ -69,8 +69,13 @@ def test_normalise_merges_and_sorts():
     assert canon(normalise(rs)) == out
 
 
-def walk_steps(g, rng, max_steps=40, start_tick=None):
-    """Random contiguous node/edge occupation chain over the graph."""
+def walk_steps(g, rng, max_steps=40, start_tick=None, zero_edges=0.0):
+    """Random contiguous node/edge occupation chain over the graph.
+
+    With ``zero_edges`` > 0 that share of edge crossings takes no time, so a
+    zero-length node step can meet a zero-length edge step: the pairs of
+    instants that fusion cannot absorb, which no planner path contains.
+    """
     v = rng.randrange(g.num_nodes)
     t = rng.randrange(50) if start_tick is None else start_tick
     steps = []
@@ -82,6 +87,8 @@ def walk_steps(g, rng, max_steps=40, start_tick=None):
         if not moves:
             break
         erid, u, w = moves[rng.randrange(len(moves))]
+        if zero_edges and rng.random() < zero_edges:
+            w = 0
         steps.append((erid, depart, depart + w))
         v = u
         arrive = depart + w
@@ -90,28 +97,32 @@ def walk_steps(g, rng, max_steps=40, start_tick=None):
 
 
 def test_boundary_equals_naive_on_random_walks():
-    for seed in range(60):
+    # Planner-shaped walks, then walks with zero-length edge crossings, which
+    # send the sweep through its last_at merges.
+    cases = [(seed, 0.0) for seed in range(60)] + [(seed, 0.3) for seed in range(200)]
+    for seed, zero_edges in cases:
         rng = random.Random(seed)
         subdiv = rng.choice((1, 1, 2, 3))
         radius = rng.randrange(1, 2 * subdiv + 2)
         g, links = linked_graph(s=radius, n=rng.choice((4, 5)), weight=6, subdiv=subdiv)
-        steps = walk_steps(g, rng)
+        steps = walk_steps(g, rng, zero_edges=zero_edges)
         agv = rng.randrange(4)
         naive = naive_reservations(steps, links, agv)
         fast = boundary_reservations(steps, links, agv)
-        assert canon(fast) == canon(naive), f"seed {seed}"
+        assert canon(fast) == canon(naive), f"seed {seed}, zero_edges {zero_edges}"
 
 
 def test_boundary_output_already_merged():
-    for seed in (3, 11, 27):
+    cases = [(seed, 0.0) for seed in (3, 11, 27)] + [(seed, 0.3) for seed in range(200)]
+    for seed, zero_edges in cases:
         rng = random.Random(seed)
         g, links = linked_graph(s=2, n=5, weight=10, subdiv=2)
-        fast = boundary_reservations(walk_steps(g, rng), links, 7)
+        fast = boundary_reservations(walk_steps(g, rng, zero_edges=zero_edges), links, 7)
         assert canon(fast) == [
             (r.resource, r.agv, r.ivl.start, r.ivl.end) for r in sorted(
                 fast, key=lambda r: (r.resource, r.ivl.start)
             )
-        ]
+        ], f"seed {seed}, zero_edges {zero_edges}"
 
 
 def test_infinite_final_step():

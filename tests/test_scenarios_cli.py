@@ -1,8 +1,10 @@
 """Scenario files, the seeded generator, and the command line round trip."""
 
+import dataclasses
 import json
 import subprocess
 import sys
+from operator import setitem
 
 import pytest
 
@@ -264,6 +266,23 @@ def test_cli_invalid_parameters_exit_code(tmp_path, capsys):
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1, lines
         assert json.loads(lines[0])["error"] == "invalid"
+    # a scenario file that is not UTF-8 text
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    assert main(["run", "--scenario", str(binary), "--out", str(tmp_path / "binary")]) == EXIT_INVALID
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0])["error"] == "invalid"
+    # a leading "-" makes argparse read the value as an option: a usage error
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--grid", "6", "--agvs", "2", "--demands", "0",
+              "--inject", "-1,0,0,5", "--out", str(tmp_path / "inject")])
+    assert exit_.value.code == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert "usage:" not in out + err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0])["error"] == "invalid"
 
 
 @pytest.mark.parametrize("stop", [2.5, True, -1, "3"])
@@ -286,8 +305,27 @@ def _edge_placement(doc, elapsed):
     doc["placements"][0] = {"agv": 1, "resource": build_grid(6, 10).num_nodes, "elapsed": elapsed}
 
 
+def explicit_grid():
+    """The grid of ``generate(grid=6)`` spelled out as an ``"explicit"`` graph spec."""
+    g = build_grid(6, 10)
+    return {
+        "type": "explicit",
+        "num_nodes": g.num_nodes,
+        "edges": [[e.a, e.b, e.weight] for e in g.edges],
+        "anchors": sorted(g.anchors),
+        "coords": [list(c) for c in g.coords],
+        "unit_weight": g.unit_weight,
+    }
+
+
+def _explicit(doc, change):
+    doc["graph"] = explicit_grid()
+    change(doc["graph"])
+
+
 MALFORMED = {
     "demand-without-pickup": lambda doc: doc["demands"][0].pop("pickup"),
+    "scenario-without-graph": lambda doc: doc.pop("graph"),
     "graph-is-a-list": lambda doc: doc.update(graph=[1, 2]),
     "grid-n-is-a-string": lambda doc: doc["graph"].update(n="6"),
     "subdivisions-is-a-string": lambda doc: doc.update(subdivisions="2"),
@@ -296,6 +334,20 @@ MALFORMED = {
     "fractional-horizon": lambda doc: doc["demands"][0].update(horizon=7.5),
     "fractional-elapsed": lambda doc: _edge_placement(doc, 2.5),
     "fractional-pickup": lambda doc: doc["demands"][0].update(pickup=float(doc["demands"][0]["pickup"])),
+    # without coords, whose length check would catch the string on its own
+    "explicit-num-nodes-is-a-string": lambda doc: _explicit(
+        doc, lambda g: (g.pop("coords"), g.update(num_nodes=str(g["num_nodes"])))
+    ),
+    "explicit-edges-is-a-number": lambda doc: _explicit(doc, lambda g: g.update(edges=5)),
+    "explicit-edge-without-weight": lambda doc: _explicit(doc, lambda g: g["edges"][0].pop()),
+    "explicit-fractional-edge-weight": lambda doc: _explicit(doc, lambda g: setitem(g["edges"][0], 2, 2.5)),
+    "explicit-without-anchors": lambda doc: _explicit(doc, lambda g: g.pop("anchors")),
+    "explicit-anchors-is-a-string": lambda doc: _explicit(doc, lambda g: g.update(anchors="02")),
+    "explicit-fractional-coordinate": lambda doc: _explicit(doc, lambda g: setitem(g["coords"][0], 0, 0.5)),
+    "explicit-unit-weight-is-a-string": lambda doc: _explicit(doc, lambda g: g.update(unit_weight="10")),
+    "manhattan-preset-without-coords": lambda doc: (
+        _explicit(doc, lambda g: g.pop("coords")), doc.update(preset="full-manhattan")
+    ),
 }
 
 
@@ -312,6 +364,19 @@ def test_cli_rejects_malformed_scenario_fields(tmp_path, case):
     assert len(lines) == 1, lines
     assert json.loads(lines[0])["error"] == "invalid"
     assert not (tmp_path / "out" / "timetable.json").exists()
+
+
+def test_cli_runs_explicit_graph(tmp_path):
+    # The grid spelled out edge by edge plans exactly what the grid spec plans.
+    sc = generate(grid=6, agvs=2, demands=3, seed=2, preset="full-manhattan")
+    files = {}
+    for name, graph in (("grid", sc.graph), ("explicit", explicit_grid())):
+        f = tmp_path / f"{name}.json"
+        f.write_text(to_json(dataclasses.replace(sc, graph=graph)))
+        res = run_cli(["run", "--scenario", str(f), "--out", str(tmp_path / name)])
+        assert res.returncode == EXIT_OK, res.stderr
+        files[name] = (tmp_path / name / "timetable.json").read_bytes()
+    assert files["explicit"] == files["grid"]
 
 
 def test_import_loads_only_the_standard_library():

@@ -14,15 +14,15 @@ from .anchoring import greedy_anchorise, naive_anchorise
 from .footprint import boundary_reservations, naive_reservations, normalise
 from .graph import build_adjacency_links, build_grid, spatial_path, subdivide
 from .intervals import INF
-from .pathing import SourceSpec, Step
+from .pathing import Step
 from .scenarios import generate, materialise
-from .scheduling import build_timetable, metrics
+from .scheduling import Timetable, build_timetable, metrics
 from .timegraph import TimeGraph
 
 CSV_HEADER = "suite,param,algorithm,runtime_ms,makespan,total_distance,note"
 
 
-def _row(suite, param, algorithm, runtime_ms, makespan="", distance="", note=""):
+def csv_row(suite, param, algorithm, runtime_ms, makespan="", distance="", note=""):
     return f"{suite},{param},{algorithm},{runtime_ms},{makespan},{distance},{note}"
 
 
@@ -41,16 +41,10 @@ def bench_anchorisers(*, grid=20, agv_counts=(5, 10, 20), seed=0, weight=10):
             t0 = time.perf_counter()
             res = run(tg, links, placements, **kwargs)
             elapsed = time.perf_counter() - t0
-            makespan = max((p.arrival for p in res.paths.values()), default=0)
-            distance = sum(
-                s.end - s.start
-                for p in res.paths.values()
-                for s in p.steps
-                if not g.is_node(s.resource)
-            )
+            tt = Timetable({agv: [p] for agv, p in res.paths.items()}, tg)
             note = "stalled" if res.stalled else ""
             rows.append(
-                _row("anchorisers", count, name, _fmt_ms(elapsed), makespan, distance, note)
+                csv_row("anchorisers", count, name, _fmt_ms(elapsed), tt.makespan(), tt.total_distance(), note)
             )
     return rows
 
@@ -74,7 +68,7 @@ def bench_presets(*, sizes=(8, 12, 16, 20, 30), agvs=4, demands=40, seed=0, weig
             )
             m = metrics(tt)
             rows.append(
-                _row(
+                csv_row(
                     "presets",
                     n,
                     preset,
@@ -136,16 +130,9 @@ def bench_reservers(*, grid=40, subdivisions=(1, 2, 4, 6), weight=12, reps=20):
         span = sum(s2.end - s2.start for s2 in steps if not g.is_node(s2.resource))
         for name in ("naive", "boundary"):
             rows.append(
-                _row("reservers", s, name, _fmt_ms(timings[name]), "", span, note)
+                csv_row("reservers", s, name, _fmt_ms(timings[name]), "", span, note)
             )
     return rows
 
 
-def run_suite(suite: str, **kw):
-    if suite == "anchorisers":
-        return bench_anchorisers(**kw)
-    if suite == "presets":
-        return bench_presets(**kw)
-    if suite == "reservers":
-        return bench_reservers(**kw)
-    raise ValueError(f"unknown suite {suite!r}")
+SUITES = {"anchorisers": bench_anchorisers, "presets": bench_presets, "reservers": bench_reservers}

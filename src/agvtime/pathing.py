@@ -82,8 +82,8 @@ def check_source(g: ResourceGraph, spec: SourceSpec) -> int | None:
     if not 0 <= spec.resource < g.num_resources:
         raise InvalidParameterError(f"source resource {spec.resource} is not on the graph")
     if g.is_node(spec.resource):
-        if spec.elapsed:
-            raise InvalidParameterError("elapsed ticks only apply to edge sources")
+        if spec.elapsed or spec.toward is not None:
+            raise InvalidParameterError("elapsed ticks and toward only apply to edge sources")
         return None
     edge = g.edge_at(spec.resource)
     if not 0 <= spec.elapsed < edge.weight:

@@ -143,11 +143,15 @@ def from_json(text: str) -> Scenario:
     return Scenario(**{**fields, "placements": tuple(doc["placements"]), "demands": tuple(doc["demands"])})
 
 
-def _spread_placements(g, links, count, rng, tries=4000):
+# Random draws allowed before the generator gives up on a sparse placement.
+PLACEMENT_TRIES = 4000
+
+
+def _spread_placements(g, links, count, rng):
     """Distinct nodes pairwise farther apart than the link radius."""
     chosen = []
     blocked = set()
-    for _ in range(tries):
+    for _ in range(PLACEMENT_TRIES):
         if len(chosen) == count:
             break
         v = rng.randrange(g.num_nodes)

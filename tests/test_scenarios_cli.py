@@ -1,13 +1,16 @@
 """Scenario files, the seeded generator, and the command line round trip."""
 
 import dataclasses
+import importlib.util
 import json
 import subprocess
 import sys
 from operator import setitem
+from pathlib import Path
 
 import pytest
 
+from agvtime.anchoring import greedy_anchorise, naive_anchorise
 from agvtime.cli import EXIT_AUDIT, EXIT_FAULT, EXIT_INVALID, EXIT_OK, main
 from agvtime.graph import InvalidParameterError, build_adjacency_links, build_grid, subdivide
 from agvtime.scenarios import (
@@ -18,6 +21,7 @@ from agvtime.scenarios import (
     to_json,
     validate_scenario,
 )
+from agvtime.timegraph import TimeGraph
 
 
 def run_cli(args):
@@ -283,6 +287,29 @@ def test_cli_invalid_parameters_exit_code(tmp_path, capsys):
     lines = err.strip().splitlines()
     assert len(lines) == 1, lines
     assert json.loads(lines[0])["error"] == "invalid"
+    # an unusable --out, shape flags on a scenario file, a bad list, and
+    # flags the chosen bench suite does not take
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(to_json(generate(grid=6, agvs=2, demands=3, seed=2)))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for argv in (
+        ["run", "--scenario", str(scenario), "--out", str(taken)],
+        ["generate", "--grid", "6", "--agvs", "2", "--demands", "0", "--out", str(taken)],
+        ["run", "--scenario", str(scenario), "--grid", "50", "--out", str(tmp_path / "shape")],
+        ["bench", "--suite", "anchorisers", "--agv-counts", "2,x", "--out", str(tmp_path / "bench")],
+        ["bench", "--suite", "reservers", "--seed", "5", "--out", str(tmp_path / "bench")],
+    ):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        assert code == EXIT_INVALID, argv
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, lines
+        assert json.loads(lines[0])["error"] == "invalid"
+    assert not list(tmp_path.rglob("timetable.json"))
+    assert not list(tmp_path.rglob("bench_*.csv"))
 
 
 @pytest.mark.parametrize("stop", [2.5, True, -1, "3"])
@@ -348,6 +375,8 @@ MALFORMED = {
     "manhattan-preset-without-coords": lambda doc: (
         _explicit(doc, lambda g: g.pop("coords")), doc.update(preset="full-manhattan")
     ),
+    "empty-fleet-with-demands": lambda doc: doc.update(placements=[]),
+    "toward-on-a-node-placement": lambda doc: doc["placements"][0].update(toward="x"),
 }
 
 
@@ -415,3 +444,78 @@ def test_cli_bench_reservers_smallest(tmp_path, capsys):
     body = [l.split(",") for l in lines[1:]]
     assert [b[2] for b in body] == ["naive", "boundary"]
     assert all(b[-1] == "equal" for b in body)
+
+
+def test_cli_bench_anchorisers_smallest(tmp_path, capsys):
+    code = main(
+        ["bench", "--suite", "anchorisers", "--grid", "6", "--agv-counts", "2,3",
+         "--seed", "3", "--out", str(tmp_path)]
+    )
+    assert code == EXIT_OK
+    lines = (tmp_path / "bench_anchorisers.csv").read_text().strip().splitlines()
+    body = [l.split(",") for l in lines[1:]]
+    assert [b[1:3] for b in body] == [
+        ["2", "naive"], ["2", "greedy"], ["3", "naive"], ["3", "greedy"]
+    ]
+    # makespan and distance recomputed from the anchorisation itself
+    for i, count in enumerate((2, 3)):
+        sc = generate(grid=6, agvs=count, demands=0, seed=3 + i)
+        for row, (run, kwargs) in zip(
+            body[2 * i : 2 * i + 2],
+            ((naive_anchorise, {"seed": sc.seed}), (greedy_anchorise, {})),
+        ):
+            g, links, placements, _ = materialise(sc)
+            res = run(TimeGraph(g), links, placements, **kwargs)
+            assert res.ok
+            makespan = max(p.arrival for p in res.paths.values())
+            distance = sum(
+                s.end - s.start
+                for p in res.paths.values()
+                for s in p.steps
+                if not g.is_node(s.resource)
+            )
+            assert row[4:] == [str(makespan), str(distance), ""]
+
+
+def test_cli_bench_presets_smallest(tmp_path, capsys):
+    code = main(
+        ["bench", "--suite", "presets", "--sizes", "6", "--agvs", "2", "--demands", "3",
+         "--out", str(tmp_path)]
+    )
+    assert code == EXIT_OK
+    lines = (tmp_path / "bench_presets.csv").read_text().strip().splitlines()
+    body = [l.split(",") for l in lines[1:]]
+    assert [b[2] for b in body] == [
+        "full-zero", "full-manhattan", "partial-dijkstras", "partial-manhattan"
+    ]
+    assert all(b[0] == "presets" and b[1] == "6" and int(b[4]) > 0 for b in body)
+
+
+def _perfbench_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer()
+
+
+def test_cli_run_keeps_the_benchmark_trace_hooks(tmp_path, capsys):
+    # The traced benchmark patches the pipeline's entry points under the
+    # names the CLI calls them by; a call that bypasses them goes unseen.
+    f = tmp_path / "scenario.json"
+    f.write_text(to_json(generate(grid=6, agvs=2, demands=3, seed=2, preset="partial-manhattan")))
+    out = tmp_path / "out"
+    tracer = _perfbench_tracer()
+    code, _ = tracer.run(lambda: main(["run", "--scenario", str(f), "--out", str(out)]))
+    assert code == EXIT_OK
+    assert tracer.problems() == []
+    assert tracer.metrics(out / "timetable.json")["scheduling.demands"] == 3
+    for name in (
+        "scenarios.from_json",
+        "scenarios.validate",
+        "scenarios.materialise",
+        "scheduling",
+        "timegraph.audit",
+        "scheduling.serialise",
+    ):
+        assert tracer.span(name).calls == 1, name

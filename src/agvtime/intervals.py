@@ -95,7 +95,9 @@ class GapTree:
     geographic links.
 
     ``gaps_full`` memoises each AGV's gaps over [0, INF) in a dict that every
-    mutation drops, so repeated reads between commits cost one lookup.
+    mutation drops, so reads between commits after the first cost one
+    lookup. A path search reads each (resource, AGV) pair at most once and
+    keeps the returned tuple itself, so the memo serves later searches.
 
     ``last_touched`` exposes how many stored intervals the most recent
     insert, remove or gap query examined, for locality assertions.

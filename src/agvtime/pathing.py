@@ -6,13 +6,20 @@ Within a window the AGV may wait freely; leaving it means crossing an edge
 whose own window must admit the full traversal, landing inside a window on
 the far node. Visits are half open, so departure may sit exactly on a window
 end while an arrival tick must be strictly inside its window.
+
+Each search reads an AGV's gaps on a resource once, on first use, and keeps
+only the windows that end after the search's ``earliest`` tick: every label
+enters at or after ``earliest`` and every edge takes at least one tick, so no
+move can use, or stop a scan at, a window that ends by then.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .graph import InvalidParameterError, ResourceGraph, spatial_path
@@ -124,7 +131,13 @@ def manhattan_guide(g: ResourceGraph, stages) -> GuideFn:
     def h(node, stage):
         if stage >= K:
             return 0.0
-        return dist(node, tcoords[stage]) + suffix[stage]
+        vx, vy = coords[node]
+        near = INF
+        for tx, ty in tcoords[stage]:
+            d = abs(vx - tx) + abs(vy - ty)
+            if d < near:
+                near = d
+        return unit * near + suffix[stage]
 
     return h
 
@@ -143,51 +156,36 @@ class _Label:
         self.via = via  # (edge rid, depart, arrive) or None
 
 
-def _source_label(tg: TimeGraph, agv: AgvId, spec: SourceSpec, earliest: int):
+def _windows(tg: TimeGraph, memo: dict, rid: int, agv: AgvId, earliest: int) -> tuple:
+    """agv's gap windows on rid that end after ``earliest``, read from ``tg``
+    and stored in ``memo``, where callers look first."""
+    windows = tg.gaps_full(rid, agv)
+    if windows and windows[0][1] <= earliest:
+        windows = windows[bisect_right(windows, earliest, key=itemgetter(1)):]
+    memo[rid] = windows
+    return windows
+
+
+def _source_label(tg: TimeGraph, memo: dict, agv: AgvId, spec: SourceSpec, earliest: int):
     """Initial (node, window start, window end, entry) for one AGV, plus an
     edge prefix step when it starts mid-edge; (None, None) when blocked."""
     g = tg.graph
     rid = spec.resource
     head = check_source(g, spec)
     if head is None:
-        for ws, we in tg.gaps_full(rid, agv):
-            if ws <= earliest < we:
-                return (rid, ws, we, earliest), None
+        windows = _windows(tg, memo, rid, agv, earliest)
+        if windows and windows[0][0] <= earliest:
+            return (rid, *windows[0], earliest), None
         return None, None
     edge = g.edge_at(rid)
     tau = earliest + (edge.weight - spec.elapsed)
     covered = tg.gap_query(rid, agv, Interval(earliest, tau))
     if not (len(covered) == 1 and covered[0].covers(Interval(earliest, tau))):
         return None, None
-    for ws, we in tg.gaps_full(head, agv):
+    for ws, we in _windows(tg, memo, head, agv, earliest):
         if ws <= tau < we:
             return (head, ws, we, tau), Step(rid, earliest, tau)
     return None, None
-
-
-def _expand_moves(tg, lab, allowed, push):
-    g = tg.graph
-    agv, entry, wend, stage = lab.agv, lab.entry, lab.wend, lab.stage
-    for erid, dest, w in g.moves[lab.node]:
-        if allowed is not None and (erid not in allowed or dest not in allowed):
-            continue
-        dest_windows = tg.gaps_full(dest, agv)
-        reach = entry + w
-        for es, ee in tg.gaps_full(erid, agv):
-            if es > wend:
-                break
-            if ee < reach or ee - es < w:
-                continue
-            for ds, de in dest_windows:
-                if ds - w > wend or ds > ee:
-                    break
-                if de <= reach:
-                    continue
-                dep = max(entry, es, ds - w)
-                arr = dep + w
-                if dep > wend or arr > ee or arr >= de:
-                    continue
-                push(agv, dest, ds, de, arr, stage, lab, (erid, dep, arr))
 
 
 def _search(tg: TimeGraph, sources, stages, guide: GuideFn, earliest: int, allowed):
@@ -198,7 +196,10 @@ def _search(tg: TimeGraph, sources, stages, guide: GuideFn, earliest: int, allow
     """
     check_stages(stages)
     K = len(stages)
+    moves = tg.graph.moves
+    heappush, heappop = heapq.heappush, heapq.heappop
     prefixes = {}
+    memos = {}  # agv -> {resource: _windows result}, filled on first read
     heap = []
     seq = itertools.count()
     best = {}
@@ -212,11 +213,11 @@ def _search(tg: TimeGraph, sources, stages, guide: GuideFn, earliest: int, allow
             return
         best[key] = entry
         lab = _Label(agv, node, wstart, wend, entry, stage, parent, via)
-        f = entry + guide(node, stage)
-        heapq.heappush(heap, (f, entry, -stage, node, next(seq), lab))
+        heappush(heap, (entry + guide(node, stage), entry, -stage, node, next(seq), lab))
 
     for agv, spec in sources:
-        start, prefix = _source_label(tg, agv, spec, earliest)
+        memo = memos[agv] = {}
+        start, prefix = _source_label(tg, memo, agv, spec, earliest)
         if start is None:
             continue
         node, ws, we, entry = start
@@ -227,31 +228,55 @@ def _search(tg: TimeGraph, sources, stages, guide: GuideFn, earliest: int, allow
         push(agv, node, ws, we, entry, 0, None, None)
 
     while heap:
-        lab = heapq.heappop(heap)[-1]
-        key = (lab.agv, lab.node, lab.wstart, lab.stage)
-        if best.get(key) != lab.entry:
+        lab = heappop(heap)[-1]
+        agv, node, wend, entry, stage = lab.agv, lab.node, lab.wend, lab.entry, lab.stage
+        key = (agv, node, lab.wstart, stage)
+        if best.get(key) != entry:
             continue
         best[key] = -1  # closed; real entries are never negative
-        if lab.stage == K:
+        if stage == K:
             return lab, prefixes
-        st = stages[lab.stage]
-        if lab.node in st.targets:
-            if lab.stage == K - 1:
-                ok = lab.wend == INF if not is_finite(st.stop) else lab.entry + st.stop <= lab.wend
+        st = stages[stage]
+        if node in st.targets:
+            if stage == K - 1:
+                ok = wend == INF if not is_finite(st.stop) else entry + st.stop <= wend
                 if ok:
-                    push(lab.agv, lab.node, lab.wstart, lab.wend, lab.entry, K, lab, None)
-            elif lab.entry + st.stop <= lab.wend:
-                push(
-                    lab.agv,
-                    lab.node,
-                    lab.wstart,
-                    lab.wend,
-                    lab.entry + st.stop,
-                    lab.stage + 1,
-                    lab,
-                    None,
-                )
-        _expand_moves(tg, lab, allowed, push)
+                    push(agv, node, lab.wstart, wend, entry, K, lab, None)
+            elif entry + st.stop <= wend:
+                push(agv, node, lab.wstart, wend, entry + st.stop, stage + 1, lab, None)
+        memo = memos[agv]
+        for erid, dest, w in moves[node]:
+            if allowed is not None and (erid not in allowed or dest not in allowed):
+                continue
+            edge_windows = memo.get(erid)
+            if edge_windows is None:
+                edge_windows = _windows(tg, memo, erid, agv, earliest)
+            dest_windows = memo.get(dest)
+            if dest_windows is None:
+                dest_windows = _windows(tg, memo, dest, agv, earliest)
+            reach = entry + w
+            for es, ee in edge_windows:
+                if es > wend:
+                    break
+                if ee < reach or ee - es < w:
+                    continue
+                for ds, de in dest_windows:
+                    if ds - w > wend or ds > ee:
+                        break
+                    if de <= reach:
+                        continue
+                    dep = max(entry, es, ds - w)
+                    arr = dep + w
+                    if dep > wend or arr > ee or arr >= de:
+                        continue
+                    # push(), inlined: this is the search's hot path.
+                    key = (agv, dest, ds, stage)
+                    old = best.get(key)
+                    if old is not None and old <= arr:
+                        continue
+                    best[key] = arr
+                    nxt = _Label(agv, dest, ds, de, arr, stage, lab, (erid, dep, arr))
+                    heappush(heap, (arr + guide(dest, stage), arr, -stage, dest, next(seq), nxt))
     return None, prefixes
 
 

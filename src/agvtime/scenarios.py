@@ -187,6 +187,10 @@ def generate(
     then stays strictly inside its own incident edge chains, which is what
     keeps every demand reachable no matter how the fleet is parked.
     """
+    _int(agvs, "agvs")
+    _int(demands, "demands")
+    _int(stop_pickup, "stop_pickup")
+    _int(stop_dropoff, "stop_dropoff")
     if link_radius > 2 * subdivisions - 1:
         raise InvalidParameterError(
             "link radius above 2*subdivisions-1 voids the routing guarantee"

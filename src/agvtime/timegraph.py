@@ -55,7 +55,9 @@ class TimeGraph:
 
     def gaps_full(self, resource: int, agv: AgvId):
         """All gaps for agv over [0, INF) as (start, end) tuples, memoised on
-        the resource's tree until it next changes."""
+        the resource's tree until it next changes. The path search calls this
+        once per (resource, agv) pair and drops the windows that end by its
+        earliest tick itself."""
         return self.trees[resource].gaps_full(agv)
 
     def holders_to_infinity(self, resource: int) -> frozenset[AgvId]:

@@ -227,3 +227,74 @@ def test_multi_source_soonest_finisher_wins():
     tg.reserve(1, 2, Interval(0, 40))
     p = multi_source_time_path(tg, sources, [Stage({1}, 0)])
     assert p.agv == 2 and p.arrival == 20
+
+
+def test_matches_exhaustive_search_from_later_tick():
+    # Reservations near the source end before ``earliest``, end exactly at
+    # it, and straddle it: windows that end by ``earliest`` are dropped, the
+    # ones that straddle it must stay.
+    found = 0
+    for seed in range(40):
+        g, tg, busy, src, stages = seeded_setup(seed)
+        rng = random.Random(seed)
+        earliest = rng.randrange(5, 30)
+        near = [r for erid, dest, _ in g.moves[src] for r in (erid, dest)]
+        for rid, s, e in (
+            (rng.choice([src, *near]), earliest - 5, earliest - 2),
+            (rng.choice([src, *near]), earliest - 3, earliest),
+            (rng.choice(near), earliest - 2, earliest + 4),
+        ):
+            tg.reserve(rid, 9, Interval(s, e))
+            busy.setdefault(rid, set()).update(range(s, e))
+        p = time_path(tg, 1, SourceSpec(src), stages, earliest=earliest)
+        want = exhaustive_earliest_arrival(
+            g, busy, 1, src, earliest, [(st.targets, st.stop) for st in stages], horizon=250
+        )
+        if want is None:
+            assert p is None, seed
+        else:
+            found += 1
+            assert p is not None and p.arrival == want, seed
+            assert p.steps[0].start == earliest, seed
+            assert audit_safety(tg, p.occupations()) is None, seed
+    assert found >= 30
+
+
+def counted_reads(monkeypatch, tg):
+    """Per (resource, agv) count of ``tg.gaps_full`` calls from now on."""
+    reads = {}
+    real = tg.gaps_full
+
+    def gaps_full(rid, agv):
+        reads[rid, agv] = reads.get((rid, agv), 0) + 1
+        return real(rid, agv)
+
+    monkeypatch.setattr(tg, "gaps_full", gaps_full)
+    return reads
+
+
+def test_search_reads_each_gap_list_once(monkeypatch):
+    g = build_grid(6, 10)
+    tg = TimeGraph(g)
+    a = rid_at(g, (1, 1))
+    b = rid_at(g, (4, 4))
+    m = rid_at(g, (2, 3))
+    for xy, ivl in (((2, 2), Interval(0, 30)), ((3, 3), Interval(40, 90)), ((1, 2), Interval(10, 25))):
+        tg.reserve(rid_at(g, xy), 9, ivl)
+    reads = counted_reads(monkeypatch, tg)
+    p = time_path(tg, 1, SourceSpec(a), [Stage({m}, 5), Stage({b}, 0)], earliest=20)
+    assert p is not None and p.arrival == 85
+    assert reads and max(reads.values()) == 1
+
+    # A race: AGV 2 holds node 1 itself, AGV 1 may land there only from 40.
+    g = line([10, 20])
+    tg = TimeGraph(g)
+    tg.reserve(1, 2, Interval(0, 40))
+    tg.reserve(0, 9, Interval(0, 3))
+    tg.reserve(4, 9, Interval(1, 4))
+    reads = counted_reads(monkeypatch, tg)
+    p = multi_source_time_path(tg, [(1, SourceSpec(0)), (2, SourceSpec(2))], [Stage({1}, 0)], earliest=5)
+    assert p.agv == 2 and p.arrival == 25
+    assert p.steps == (Step(2, 5, 5), Step(4, 5, 25), Step(1, 25, 25))
+    assert {agv for _, agv in reads} == {1, 2}
+    assert max(reads.values()) == 1

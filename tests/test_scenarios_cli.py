@@ -299,6 +299,18 @@ def test_cli_invalid_parameters_exit_code(tmp_path, capsys):
         ["run", "--scenario", str(scenario), "--grid", "50", "--out", str(tmp_path / "shape")],
         ["bench", "--suite", "anchorisers", "--agv-counts", "2,x", "--out", str(tmp_path / "bench")],
         ["bench", "--suite", "reservers", "--seed", "5", "--out", str(tmp_path / "bench")],
+        # negative counts and stop ticks, wherever a scenario is generated
+        ["generate", "--grid", "6", "--agvs", "2", "--demands", "1", "--stop-pickup", "-5", "--out", str(tmp_path / "gen")],
+        ["generate", "--grid", "6", "--agvs", "2", "--demands", "1", "--stop-dropoff", "-1", "--out", str(tmp_path / "gen")],
+        ["generate", "--grid", "6", "--agvs", "2", "--demands", "-3", "--out", str(tmp_path / "gen")],
+        ["generate", "--grid", "6", "--agvs", "-1", "--demands", "0", "--out", str(tmp_path / "gen")],
+        ["run", "--grid", "6", "--agvs", "2", "--demands", "-1", "--out", str(tmp_path / "neg")],
+        ["bench", "--suite", "anchorisers", "--agv-counts", "-1", "--out", str(tmp_path / "bench")],
+        ["bench", "--suite", "presets", "--sizes", "6", "--agvs", "-1", "--out", str(tmp_path / "bench")],
+        # empty lists
+        ["bench", "--suite", "anchorisers", "--agv-counts", "", "--out", str(tmp_path / "bench")],
+        ["bench", "--suite", "presets", "--sizes", "", "--out", str(tmp_path / "bench")],
+        ["bench", "--suite", "reservers", "--grid", "4", "--subdivisions", "", "--out", str(tmp_path / "bench")],
     ):
         try:
             code = main(argv)
@@ -310,6 +322,7 @@ def test_cli_invalid_parameters_exit_code(tmp_path, capsys):
         assert json.loads(lines[0])["error"] == "invalid"
     assert not list(tmp_path.rglob("timetable.json"))
     assert not list(tmp_path.rglob("bench_*.csv"))
+    assert not (tmp_path / "gen" / "scenario.json").exists()
 
 
 @pytest.mark.parametrize("stop", [2.5, True, -1, "3"])

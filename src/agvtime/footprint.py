@@ -7,9 +7,9 @@ which duplicates heavily since consecutive steps share most of their
 surroundings. The boundary expansion walks the path once, keeping a running
 frontier: resources can only enter or leave the moving footprint through the
 boundary shell, so per-step work scales with the shell size instead of the
-whole linked set. A zero-length pass-through step fuses with the dwell
-after it into one transition, whose sets are composed from the two pair
-transitions it spans. Both expansions produce the same coverage;
+whole linked set. A run of zero-length steps fuses with the step after it
+into one transition, whose sets are composed from the pair transitions it
+spans. Both expansions produce the same coverage;
 ``normalise`` puts either output into the canonical merged form.
 
 Link sets are treated reflexively throughout: a resource is always part of
@@ -95,7 +95,7 @@ def _pair_sets(linked, bound, a, b):
 
 def _fused_sets(first, second):
     """Exit and entry sets for a -> mid -> b with an instantaneous mid,
-    composed from the pair transitions a -> mid and mid -> b.
+    composed from the transitions a -> mid and mid -> b.
 
     A resource that exits on one leg and re-enters on the other never loses
     coverage, and one that enters and leaves mid's footprint in the same
@@ -111,18 +111,18 @@ def _fused_sets(first, second):
 def _transition(links: GeoLinks, a, key):
     """Exit and entry sets for a step off ``a``, memoised on ``links``.
 
-    ``key`` is the resource stepped onto, or ``(mid, b)`` for a transition
-    fused through an instantaneous ``mid``; int and tuple keys share a's row.
+    ``key`` is the resource stepped onto, or the tuple of resources a fused
+    run of instants spans, whose pair sets fold with ``_fused_sets``; int
+    and tuple keys share a's row.
     """
     row = links.transitions.setdefault(a, {})
     sets = row.get(key)
     if sets is None:
         linked, bound = links.linked, links.boundary
-        if type(key) is tuple:
-            mid, b = key
-            sets = _fused_sets(_pair_sets(linked, bound, a, mid), _pair_sets(linked, bound, mid, b))
-        else:
-            sets = _pair_sets(linked, bound, a, key)
+        path = key if type(key) is tuple else (key,)
+        sets = _pair_sets(linked, bound, a, path[0])
+        for mid, b in zip(path, path[1:]):
+            sets = _fused_sets(sets, _pair_sets(linked, bound, mid, b))
         row[key] = sets
     return sets
 
@@ -133,14 +133,12 @@ def boundary_reservations(steps, links: GeoLinks, agv: AgvId, counter: WorkCount
     Covers exactly what the naive expansion covers, already merged per
     resource. The open set always equals the current footprint of the walk,
     and each transition touches only the exact entry and exit sets, looked up
-    from a cache on ``links`` keyed by the resource pair: the sets are static
-    link geometry, so they amortise across paths. A zero-length pass-through
-    step fuses with a positive-length step after it into a single
-    transition, whose sets are composed from the two pair transitions it
-    spans; that keeps a resource that exits one footprint and immediately
-    re-enters the next one covered by one unbroken span. Only two
-    zero-length steps in a row defeat fusion, and only then can a span
-    closed at an instant be touched by an entry at that instant.
+    from a cache on ``links`` keyed by the resources stepped through: the
+    sets are static link geometry, so they amortise across paths. A run of
+    zero-length steps fuses with the step after it, or with the path's end,
+    into a single transition. So every transition but the first starts a
+    step of positive length or ends the path, and a span that one closes is
+    never touched by a later entry: no emitted reservation is rewritten.
     """
     chain = _checked_steps(steps)
     if not chain:
@@ -150,13 +148,6 @@ def boundary_reservations(steps, links: GeoLinks, agv: AgvId, counter: WorkCount
     trans = links.transitions
     ivl_of = Interval
     res_of = Reservation
-
-    # Spans closed by a plain transition onto an instant with steps after it
-    # are the ones a later entry can touch. last_at remembers each such
-    # resource's latest span so the touch extends it in place and the output
-    # stays exactly merged. Planner paths never have two instants in a row,
-    # so there it stays empty.
-    last_at = {}
 
     # Every open interval shares the same right end (the current step's
     # end), so open_start maps resource -> start and v_end carries the end.
@@ -172,10 +163,10 @@ def boundary_reservations(steps, links: GeoLinks, agv: AgvId, counter: WorkCount
         rid, s1, e1 = chain[i]
         key = rid
         i += 1
-        if s1 == e1 and i < n and (nxt := chain[i])[1] != nxt[2]:  # fuse the instant
-            rid, _, e1 = nxt
+        while s1 == e1 and i < n:  # fuse the instant with the step after it
+            rid, _, e1 = chain[i]
             i += 1
-            key = (key, rid)
+            key = (*key, rid) if type(key) is tuple else (key, rid)
         try:
             exits, entries = trans[prev][key]
         except KeyError:
@@ -183,12 +174,7 @@ def boundary_reservations(steps, links: GeoLinks, agv: AgvId, counter: WorkCount
         for p in exits:
             s2 = pop(p)
             if s2 != v_end:
-                if last_at and (j := last_at.get(p)) is not None and (r0 := out[j]).ivl.end == s2:
-                    out[j] = res_of(p, agv, ivl_of(r0.ivl.start, v_end))
-                else:
-                    if s1 == e1 and i < n:  # unfused instant: see last_at
-                        last_at[p] = len(out)
-                    append(res_of(p, agv, ivl_of(s2, v_end)))
+                append(res_of(p, agv, ivl_of(s2, v_end)))
         for b in entries:
             open_start[b] = s1
         prev = rid
@@ -197,10 +183,7 @@ def boundary_reservations(steps, links: GeoLinks, agv: AgvId, counter: WorkCount
             counter.note(len(exits) + len(entries) + 2)
     for p, s in open_start.items():
         if s != v_end:
-            if last_at and (j := last_at.get(p)) is not None and (r0 := out[j]).ivl.end == s:
-                out[j] = res_of(p, agv, ivl_of(r0.ivl.start, v_end))
-            else:
-                append(res_of(p, agv, ivl_of(s, v_end)))
+            append(res_of(p, agv, ivl_of(s, v_end)))
     return out
 
 

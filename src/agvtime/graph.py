@@ -39,6 +39,9 @@ class Violation:
     assumption: int
     detail: str
 
+    def __str__(self):
+        return f"graph rule {self.assumption}: {self.detail}"
+
 
 class ResourceGraph:
     """Immutable node/edge structure with the shared resource id space."""

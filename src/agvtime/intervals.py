@@ -17,6 +17,8 @@ INF = float("inf")
 
 AgvId = int
 
+_ALL_FREE = ((0, INF),)  # gaps_full of every empty tree
+
 
 def is_finite(t) -> bool:
     return t != INF
@@ -94,23 +96,20 @@ class GapTree:
     demands, a mean of 42 and a max of 132 with subdivided edges and wide
     geographic links.
 
-    ``gaps_full`` memoises each AGV's gaps over [0, INF) in a dict that every
-    mutation drops, so reads between commits after the first cost one
-    lookup. A path search reads each (resource, AGV) pair at most once and
-    keeps the returned tuple itself, so the memo serves later searches.
+    ``gaps_full`` builds an AGV's gaps over [0, INF) afresh on every call; a
+    path search reads each (resource, AGV) pair once and keeps the result.
 
     ``last_touched`` exposes how many stored intervals the most recent
     insert, remove or gap query examined, for locality assertions.
     ``version`` counts mutations.
     """
 
-    __slots__ = ("_starts", "_ends", "_ids", "_gaps", "last_touched", "version")
+    __slots__ = ("_starts", "_ends", "_ids", "last_touched", "version")
 
     def __init__(self):
         self._starts = []
         self._ends = []
         self._ids = []  # frozenset of AgvId per stored interval
-        self._gaps = {}  # AgvId -> gaps_full result, valid until the next mutation
         self.last_touched = 0
         self.version = 0
 
@@ -158,7 +157,6 @@ class GapTree:
         starts[lo:hi] = new_s
         ends[lo:hi] = new_e
         idsets[lo:hi] = new_ids
-        self._gaps.clear()
         self.version += 1
 
     def insert(self, agv: AgvId, ivl: Interval) -> None:
@@ -216,12 +214,10 @@ class GapTree:
 
     def gaps_full(self, agv: AgvId) -> tuple:
         """``gap_query(agv, Interval(0, INF))`` as a tuple of (start, end)
-        tuples, memoised per AGV until the tree next changes."""
-        hit = self._gaps.get(agv)
-        if hit is None:
-            stored = zip(self._starts, self._ends, self._ids)
-            hit = self._gaps[agv] = tuple(_free(agv, 0, INF, stored))
-        return hit
+        tuples, built from the stored intervals on every call."""
+        if not self._starts:
+            return _ALL_FREE
+        return tuple(_free(agv, 0, INF, zip(self._starts, self._ends, self._ids)))
 
     def holders_to_infinity(self) -> frozenset[AgvId]:
         """Ids holding a reservation that extends to INF, if any."""

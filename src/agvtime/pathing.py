@@ -23,7 +23,7 @@ from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .graph import InvalidParameterError, ResourceGraph, spatial_path
-from .intervals import INF, AgvId, Interval, is_finite
+from .intervals import INF, AgvId, is_finite
 from .timegraph import TimeGraph
 
 
@@ -172,15 +172,14 @@ def _source_label(tg: TimeGraph, memo: dict, agv: AgvId, spec: SourceSpec, earli
     g = tg.graph
     rid = spec.resource
     head = check_source(g, spec)
-    if head is None:
-        windows = _windows(tg, memo, rid, agv, earliest)
-        if windows and windows[0][0] <= earliest:
-            return (rid, *windows[0], earliest), None
+    windows = _windows(tg, memo, rid, agv, earliest)
+    if not windows or windows[0][0] > earliest:
         return None, None
-    edge = g.edge_at(rid)
-    tau = earliest + (edge.weight - spec.elapsed)
-    covered = tg.gap_query(rid, agv, Interval(earliest, tau))
-    if not (len(covered) == 1 and covered[0].covers(Interval(earliest, tau))):
+    if head is None:
+        return (rid, *windows[0], earliest), None
+    # The rest of the crossing, [earliest, tau), must lie in one window.
+    tau = earliest + (g.edge_at(rid).weight - spec.elapsed)
+    if windows[0][1] < tau:
         return None, None
     for ws, we in _windows(tg, memo, head, agv, earliest):
         if ws <= tau < we:

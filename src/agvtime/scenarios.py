@@ -191,6 +191,8 @@ def generate(
     _int(demands, "demands")
     _int(stop_pickup, "stop_pickup")
     _int(stop_dropoff, "stop_dropoff")
+    _int(subdivisions, "subdivisions", 1)
+    _int(link_radius, "link radius", 1)
     if link_radius > 2 * subdivisions - 1:
         raise InvalidParameterError(
             "link radius above 2*subdivisions-1 voids the routing guarantee"

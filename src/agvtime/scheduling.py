@@ -169,26 +169,16 @@ def metrics(tt: Timetable) -> dict:
 
 
 def _plan(tg, g, agv, src_node, stages, preset, earliest):
-    if preset == "full-zero":
-        return time_path(tg, agv, SourceSpec(src_node), stages, earliest=earliest)
-    if preset == "full-manhattan":
-        return time_path(
-            tg,
-            agv,
-            SourceSpec(src_node),
-            stages,
-            earliest=earliest,
-            guide=manhattan_guide(g, stages),
-        )
-    leg_guide = "none" if preset == "partial-dijkstras" else "manhattan"
-    waypoints = [src_node]
-    for st in stages:
-        waypoints.append(next(iter(st.targets)))
-    corridor = route_corridor(g, waypoints, guide=leg_guide)
-    if corridor is None:
-        return None
+    guide = manhattan_guide(g, stages) if preset == "full-manhattan" else None
+    allowed = None
+    if preset.startswith("partial-"):
+        waypoints = [src_node] + [next(iter(st.targets)) for st in stages]
+        leg_guide = "none" if preset == "partial-dijkstras" else "manhattan"
+        allowed = route_corridor(g, waypoints, guide=leg_guide)
+        if allowed is None:
+            return None
     return time_path(
-        tg, agv, SourceSpec(src_node), stages, earliest=earliest, allowed=corridor
+        tg, agv, SourceSpec(src_node), stages, earliest=earliest, guide=guide, allowed=allowed
     )
 
 

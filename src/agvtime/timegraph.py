@@ -54,10 +54,10 @@ class TimeGraph:
         return self.trees[resource].gap_query(agv, window)
 
     def gaps_full(self, resource: int, agv: AgvId):
-        """All gaps for agv over [0, INF) as (start, end) tuples, memoised on
-        the resource's tree until it next changes. The path search calls this
-        once per (resource, agv) pair and drops the windows that end by its
-        earliest tick itself."""
+        """All gaps for agv over [0, INF) as (start, end) tuples. The path
+        search calls this once per (resource, agv) pair, keeps the result for
+        the rest of the search and drops the windows that end by its earliest
+        tick itself."""
         return self.trees[resource].gaps_full(agv)
 
     def holders_to_infinity(self, resource: int) -> frozenset[AgvId]:

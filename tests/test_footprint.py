@@ -73,8 +73,8 @@ def walk_steps(g, rng, max_steps=40, start_tick=None, zero_edges=0.0):
     """Random contiguous node/edge occupation chain over the graph.
 
     With ``zero_edges`` > 0 that share of edge crossings takes no time, so a
-    zero-length node step can meet a zero-length edge step: the pairs of
-    instants that fusion cannot absorb, which no planner path contains.
+    zero-length node step can meet a zero-length edge step: runs of several
+    instants, which no planner path contains.
     """
     v = rng.randrange(g.num_nodes)
     t = rng.randrange(50) if start_tick is None else start_tick
@@ -97,8 +97,8 @@ def walk_steps(g, rng, max_steps=40, start_tick=None, zero_edges=0.0):
 
 
 def test_boundary_equals_naive_on_random_walks():
-    # Planner-shaped walks, then walks with zero-length edge crossings, which
-    # send the sweep through its last_at merges.
+    # Planner-shaped walks, then walks with zero-length edge crossings, whose
+    # runs of instants the sweep fuses into one transition each.
     cases = [(seed, 0.0) for seed in range(60)] + [(seed, 0.3) for seed in range(200)]
     for seed, zero_edges in cases:
         rng = random.Random(seed)

@@ -107,6 +107,22 @@ def test_edge_source_toward_named_end():
     assert p.steps[-1].resource == 0
 
 
+def test_edge_source_blocked_mid_crossing():
+    # From tick 100 the AGV needs the edge for [100, 700) to finish crossing.
+    source, stages = SourceSpec(2, elapsed=400), [Stage({1}, 0)]
+    for hold in ((300, 310), (50, 101), (699, 800), (0, INF)):
+        tg = TimeGraph(line([1000]))
+        tg.reserve(2, 9, Interval(*hold))
+        assert time_path(tg, 1, source, stages, earliest=100) is None, hold
+    # holds that end at earliest or start at tau leave the crossing free
+    tg = TimeGraph(line([1000]))
+    tg.reserve(2, 9, Interval(0, 100))
+    tg.reserve(2, 9, Interval(700, 900))
+    p = time_path(tg, 1, source, stages, earliest=100)
+    assert p.steps[0] == Step(2, 100, 700)
+    assert p.arrival == 700
+
+
 def test_infinite_hold_needs_window_open_to_infinity():
     tg = TimeGraph(line([1000]))
     tg.reserve(1, 9, Interval(5000, INF))

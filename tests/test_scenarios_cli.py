@@ -320,6 +320,23 @@ def test_cli_invalid_parameters_exit_code(tmp_path, capsys):
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1, lines
         assert json.loads(lines[0])["error"] == "invalid"
+    # the detail names what is wrong: the subdivision count, not the link
+    # radius it caps, and a broken graph rule in words
+    doc = json.loads(to_json(generate(grid=6, agvs=2, demands=0)))
+    doc["graph"] = {"type": "explicit", "num_nodes": 3, "edges": [[0, 1, 10], [1, 2, 10]], "anchors": [0]}
+    doc["placements"] = [{"agv": 1, "resource": 1}, {"agv": 2, "resource": 2}]
+    broken = tmp_path / "line.json"
+    broken.write_text(json.dumps(doc))
+    for argv, detail in (
+        (["generate", "--grid", "6", "--agvs", "1", "--demands", "1", "--subdivide", "0",
+          "--out", str(tmp_path / "gen")], "subdivisions must be an integer >= 1, got 0"),
+        (["run", "--scenario", str(broken), "--out", str(tmp_path / "line")],
+         "graph rule 2: 2 AGVs but only 1 anchors"),
+    ):
+        assert main(argv) == EXIT_INVALID, argv
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, lines
+        assert json.loads(lines[0]) == {"error": "invalid", "detail": detail}
     assert not list(tmp_path.rglob("timetable.json"))
     assert not list(tmp_path.rglob("bench_*.csv"))
     assert not (tmp_path / "gen" / "scenario.json").exists()

@@ -37,10 +37,10 @@ def test_gap_query_sees_own_as_free():
 
 def test_gaps_full_cached_until_tree_changes():
     tg = make_tg()
+    assert tg.gaps_full(5, 2) == ((0, INF),)
     tg.reserve(5, 1, Interval(10, 20))
     first = tg.gaps_full(5, 2)
-    again = tg.gaps_full(5, 2)
-    assert first is again
+    assert first == ((0, 10), (20, INF))
     tg.reserve(5, 3, Interval(40, 50))
     after = tg.gaps_full(5, 2)
     assert after is not first

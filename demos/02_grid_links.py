@@ -24,7 +24,7 @@ def main():
     ball = links.linked[mid]
     shell = links.boundary[mid]
     print(f"\nlink radius {s} around resource {fine.describe(mid)}:")
-    print(f"  footprint size {len(ball) + 1} (itself plus {len(ball)} linked)")
+    print(f"  footprint size {len(ball)} (itself plus {len(ball) - 1} linked)")
     print(f"  boundary shell size {len(shell)}: "
           f"{sorted(fine.describe(r) for r in shell)[:6]} ...")
     print("  a moving footprint can only gain or lose coverage through the shell")

@@ -35,8 +35,7 @@ def initialise_reservations(
     """Pin each AGV's start and its linked surroundings for all time."""
     out = {}
     for agv, spec in placements.items():
-        rids = {spec.resource} | set(links.linked[spec.resource])
-        rs = [Reservation(r, agv, Interval(0, INF)) for r in sorted(rids)]
+        rs = [Reservation(r, agv, Interval(0, INF)) for r in sorted(links.linked[spec.resource])]
         tg.reserve_all(rs)
         out[agv] = rs
     return out

@@ -16,7 +16,7 @@ from .graph import build_adjacency_links, build_grid, spatial_path, subdivide
 from .intervals import INF
 from .pathing import Step
 from .scenarios import generate, materialise
-from .scheduling import Timetable, build_timetable, metrics
+from .scheduling import PRESETS, Timetable, build_timetable, metrics
 from .timegraph import TimeGraph
 
 CSV_HEADER = "suite,param,algorithm,runtime_ms,makespan,total_distance,note"
@@ -53,7 +53,7 @@ def bench_presets(*, sizes=(8, 12, 16, 20, 30), agvs=4, demands=40, seed=0, weig
     rows = []
     for i, n in enumerate(sizes):
         sc = generate(grid=n, agvs=agvs, demands=demands, seed=seed + i, weight=weight)
-        for preset in ("full-zero", "full-manhattan", "partial-dijkstras", "partial-manhattan"):
+        for preset in PRESETS:
             g, links, placements, ds = materialise(sc)
             tt = build_timetable(
                 g,

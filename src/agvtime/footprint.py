@@ -12,8 +12,8 @@ into one transition, whose sets are composed from the pair transitions it
 spans. Both expansions produce the same coverage;
 ``normalise`` puts either output into the canonical merged form.
 
-Link sets are treated reflexively throughout: a resource is always part of
-its own footprint, so base occupations come out of the expansion too.
+A link set includes its resource: a resource is always part of its own
+footprint, so base occupations come out of the expansion too.
 """
 
 from dataclasses import dataclass, field
@@ -60,7 +60,7 @@ def _checked_steps(steps):
 
 
 def naive_reservations(steps, links: GeoLinks, agv: AgvId, counter: WorkCounter | None = None):
-    """One reservation per step for the resource and each of its links."""
+    """One reservation per step for each member of the step's link set."""
     out = []
     append = out.append
     linked = links.linked
@@ -70,11 +70,10 @@ def naive_reservations(steps, links: GeoLinks, agv: AgvId, counter: WorkCounter 
         if start == end:
             continue
         ivl = ivl_of(start, end)
-        append(res_of(rid, agv, ivl))
         for p in linked[rid]:
             append(res_of(p, agv, ivl))
         if counter is not None:
-            counter.note(1 + len(linked[rid]))
+            counter.note(len(linked[rid]))
     return out
 
 
@@ -88,8 +87,8 @@ def _pair_sets(linked, bound, a, b):
     La, Lb = linked[a], linked[b]
     if b not in La:
         raise PathShapeError(f"path steps between unlinked resources {a} and {b}")
-    exits = tuple(p for p in bound[a] if p != b and p not in Lb)
-    entries = tuple(q for q in bound[b] if q != a and q not in La)
+    exits = tuple(p for p in bound[a] if p not in Lb)
+    entries = tuple(q for q in bound[b] if q not in La)
     return exits, entries
 
 
@@ -153,7 +152,6 @@ def boundary_reservations(steps, links: GeoLinks, agv: AgvId, counter: WorkCount
     # end), so open_start maps resource -> start and v_end carries the end.
     prev, s0, v_end = chain[0]
     open_start = dict.fromkeys(links.linked[prev], s0)
-    open_start[prev] = s0
     pop = open_start.pop
     if counter is not None:
         counter.note(len(open_start))

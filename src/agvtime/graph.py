@@ -8,8 +8,9 @@ traffic.
 
 Geographic links tie each resource to its spatial surroundings via
 resource-adjacency distance (a node is adjacent to its incident edges and
-vice versa). ``linked[r]`` holds everything within the radius, exclusive of
-r itself; ``boundary[r]`` the shell at exactly the radius.
+vice versa). ``linked[r]`` is the closed ball: r and everything within the
+radius, which is the footprint an AGV on r holds; ``boundary[r]`` the shell
+at exactly the radius.
 """
 
 import heapq
@@ -72,6 +73,11 @@ class ResourceGraph:
             rid = num_nodes + i
             if not (0 <= e.a < num_nodes and 0 <= e.b < num_nodes):
                 raise InvalidParameterError(f"edge {i} endpoint out of range")
+            if self.coords is not None and unit_weight is not None:
+                # Checked per edge, the bound holds for every route by the triangle inequality.
+                bound = manhattan_bound(self, e.a, e.b)
+                if bound > e.weight:
+                    raise InvalidParameterError(f"edge e{i} weight {e.weight} is below its Manhattan bound {bound}")
             incident[e.a].append(rid)
             incident[e.b].append(rid)
             moves[e.a].append((rid, e.b, e.weight))
@@ -228,7 +234,7 @@ class GeoLinks:
     """Radius-limited spatial surroundings of every resource."""
 
     radius: int
-    linked: tuple  # rid -> frozenset of rids within 1..radius, self excluded
+    linked: tuple  # rid -> frozenset of rids within 0..radius, rid included
     boundary: tuple  # rid -> frozenset of rids at exactly radius
     # Lazily filled cache of exact per-transition entry/exit sets, keyed by
     # the resource stepped from. Derived from linked/boundary, so it is
@@ -259,7 +265,6 @@ def build_adjacency_links(g: ResourceGraph, s: int) -> GeoLinks:
                         dist[q] = d
                         nxt.append(q)
             frontier = nxt
-        del dist[r]
         linked.append(frozenset(dist))
         boundary.append(frozenset(p for p, d in dist.items() if d == s))
     return GeoLinks(s, tuple(linked), tuple(boundary))

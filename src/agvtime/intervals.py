@@ -36,9 +36,9 @@ class Interval:
     """Half-open tick interval [start, end). start is finite, start < end.
 
     Value semantics: equality and hashing go by (start, end). Instances are
-    treated as immutable. Hand-rolled rather than a dataclass because interval
-    construction sits on the hot path of gap queries and reservation
-    expansion.
+    treated as immutable. Hand-rolled rather than a dataclass because
+    footprint expansion builds one per emitted reservation and the audit one
+    per claim and gap; route search reads gaps as plain tuples.
     """
 
     __slots__ = ("start", "end")

@@ -155,10 +155,9 @@ def _spread_placements(g, links, count, rng):
         if len(chosen) == count:
             break
         v = rng.randrange(g.num_nodes)
-        if v in blocked or v in chosen:
+        if v in blocked:
             continue
         chosen.append(v)
-        blocked.add(v)
         blocked.update(links.linked[v])
     if len(chosen) < count:
         raise InvalidParameterError(

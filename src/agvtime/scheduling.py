@@ -214,8 +214,6 @@ def build_timetable(
         raise StalledAnchorisation(parked.stalled)
 
     paths = {agv: [parked.paths[agv]] for agv in sorted(placements)}
-    hold = {agv: parked.paths[agv].steps[-1].resource for agv in placements}
-    free_at = {agv: parked.paths[agv].arrival for agv in placements}
     fleet = sorted(placements)
 
     batch_starts = sorted({d.horizon for d in demands})
@@ -236,19 +234,17 @@ def build_timetable(
                 Stage({d.dropoff}, stop_dropoff),
                 Stage({anchor}, INF),
             ]
-            earliest = max(h, free_at[agv])
-            p = _plan(tg, g, agv, hold[agv], stages, preset, earliest)
+            last = paths[agv][-1]
+            held = last.steps[-1].resource
+            p = _plan(tg, g, agv, held, stages, preset, max(h, last.arrival))
             if p is None:
                 raise NoPathFault(d.id, agv, preset)
             dep = p.steps[0].end
-            held = {hold[agv]} | set(links.linked[hold[agv]])
             tg.remove_all(
-                Reservation(r, agv, Interval(dep, INF)) for r in sorted(held)
+                Reservation(r, agv, Interval(dep, INF)) for r in sorted(links.linked[held])
             )
             tg.reserve_all(boundary_reservations(p.steps, links, agv))
             paths[agv].append(p)
-            hold[agv] = anchor
-            free_at[agv] = p.arrival
 
     tt = Timetable(paths, tg)
     tt.runtime_ms = (time.perf_counter() - t0) * 1000.0

@@ -69,14 +69,13 @@ def audit_safety(tg: TimeGraph, occupations) -> SafetyViolation | None:
 
     ``occupations`` yields (agv, resource, start, end) claims. Zero-length
     claims are vacuous. A claim is safe when the AGV's own gap query on that
-    resource returns one interval covering it.
+    resource returns the claim itself: the gaps are clipped to the claim.
     """
     for agv, rid, start, end in occupations:
         if start == end:
             continue
         ivl = Interval(start, end)
-        gaps = tg.gap_query(rid, agv, ivl)
-        if len(gaps) == 1 and gaps[0].covers(ivl):
+        if tg.gap_query(rid, agv, ivl) == [ivl]:
             continue
         others = set()
         for s, e, ids in tg.trees[rid].intervals():

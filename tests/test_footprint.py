@@ -137,6 +137,25 @@ def test_infinite_final_step():
     assert INF in ends
 
 
+def test_step_staying_on_one_resource():
+    # A step from a resource onto itself has no exits and no entries, so the
+    # footprint stays open across it; alone, as an instant, or mid-walk.
+    g, links = linked_graph(s=2)
+    v = sorted(set(range(g.num_nodes)) - g.anchors)[0]
+    erid, u, w = g.moves[v][0]
+    for steps in (
+        [(v, 0, 5), (v, 5, 9)],
+        [(v, 0, 5), (v, 5, 5), (v, 5, 9)],
+        [(v, 0, 3), (erid, 3, 3 + w), (erid, 3 + w, 9 + w), (u, 9 + w, INF)],
+    ):
+        naive = naive_reservations(steps, links, 2)
+        fast = boundary_reservations(steps, links, 2)
+        assert canon(fast) == canon(naive), steps
+    assert canon(boundary_reservations([(v, 0, 5), (v, 5, 9)], links, 2)) == [
+        (p, 2, 0, 9) for p in sorted(links.linked[v])
+    ]
+
+
 def test_boundary_work_scales_with_shell_not_ball():
     """Per-step touched counts: naive grows with the linked set, boundary
     with the boundary shell plus frontier."""

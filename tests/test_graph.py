@@ -97,6 +97,16 @@ def test_subdivide_counts_and_weights():
         assert len(gs.subdivision_nodes) == (s - 1) * len(g.edges)
 
 
+def test_edge_below_manhattan_bound_rejected():
+    # Nodes 9 units apart joined by a weight-10 edge at 10 ticks per unit:
+    # the guide would overestimate that edge, so the graph is refused.
+    coords = [(0, 0), (9, 0), (1, 0)]
+    with pytest.raises(InvalidParameterError, match="edge e0 weight 10 is below its Manhattan bound 90"):
+        ResourceGraph(3, [Edge(0, 1, 10)], anchors=(), coords=coords, unit_weight=10)
+    ResourceGraph(3, [Edge(0, 2, 10), Edge(0, 1, 90)], anchors=(), coords=coords, unit_weight=10)
+    ResourceGraph(3, [Edge(0, 1, 10)], anchors=(), coords=coords)
+
+
 def test_subdivide_identity_and_errors():
     g = grid4()
     assert subdivide(g, 1) is g
@@ -116,18 +126,18 @@ def test_links_radius1():
     g = grid4()
     links = build_adjacency_links(g, 1)
     for v in range(g.num_nodes):
-        assert links.linked[v] == frozenset(g.incident[v])
-        assert links.boundary[v] == links.linked[v]
+        assert links.linked[v] == frozenset(g.incident[v]) | {v}
+        assert links.boundary[v] == links.linked[v] - {v}
     for i, e in enumerate(g.edges):
         rid = g.num_nodes + i
-        assert links.linked[rid] == {e.a, e.b}
+        assert links.linked[rid] == {rid, e.a, e.b}
 
 
 def test_links_symmetry_and_boundary_subset():
     g = subdivide(grid4(), 2)
     links = build_adjacency_links(g, 3)
     for r in range(g.num_resources):
-        assert r not in links.linked[r]
+        assert r in links.linked[r]
         assert links.boundary[r] <= links.linked[r]
         for q in links.linked[r]:
             assert r in links.linked[q]

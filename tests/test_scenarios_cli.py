@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from operator import setitem
@@ -24,11 +25,19 @@ from agvtime.scenarios import (
 from agvtime.timegraph import TimeGraph
 
 
+# Child interpreters do not see pytest's ``pythonpath`` setting, so they are
+# given the checkout's ``src`` on ``PYTHONPATH``.
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")))
+)}
+
+
 def run_cli(args):
     return subprocess.run(
         [sys.executable, "-m", "agvtime", *args],
         capture_output=True,
         text=True,
+        env=SRC_ENV,
     )
 
 
@@ -402,6 +411,7 @@ MALFORMED = {
     "explicit-anchors-is-a-string": lambda doc: _explicit(doc, lambda g: g.update(anchors="02")),
     "explicit-fractional-coordinate": lambda doc: _explicit(doc, lambda g: setitem(g["coords"][0], 0, 0.5)),
     "explicit-unit-weight-is-a-string": lambda doc: _explicit(doc, lambda g: g.update(unit_weight="10")),
+    "explicit-edge-below-manhattan-bound": lambda doc: _explicit(doc, lambda g: g.update(unit_weight=11)),
     "manhattan-preset-without-coords": lambda doc: (
         _explicit(doc, lambda g: g.pop("coords")), doc.update(preset="full-manhattan")
     ),
@@ -443,7 +453,7 @@ def test_import_loads_only_the_standard_library():
         "import json, sys; before = set(sys.modules); import agvtime; "
         "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
-    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=SRC_ENV)
     assert res.returncode == 0, res.stderr
     tops = {name.partition(".")[0] for name in json.loads(res.stdout)}
     assert tops - sys.stdlib_module_names == {"agvtime"}

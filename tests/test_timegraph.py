@@ -35,7 +35,7 @@ def test_gap_query_sees_own_as_free():
     assert gaps == [Interval(0, 10), Interval(20, 30), Interval(40, 50)]
 
 
-def test_gaps_full_cached_until_tree_changes():
+def test_gaps_full_follows_tree_changes():
     tg = make_tg()
     assert tg.gaps_full(5, 2) == ((0, INF),)
     tg.reserve(5, 1, Interval(10, 20))

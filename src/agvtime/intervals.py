@@ -17,7 +17,7 @@ INF = float("inf")
 
 AgvId = int
 
-_ALL_FREE = ((0, INF),)  # gaps_full of every empty tree
+_ALL_FREE = ((0, INF),)  # gaps_from(agv, 0) of every empty tree
 
 
 def is_finite(t) -> bool:
@@ -63,19 +63,6 @@ class Interval:
     def __repr__(self):
         return f"Interval(start={self.start!r}, end={self.end!r})"
 
-    def overlaps(self, other: "Interval") -> bool:
-        return self.start < other.end and other.start < self.end
-
-    def contains_tick(self, t) -> bool:
-        return self.start <= t < self.end
-
-    def covers(self, other: "Interval") -> bool:
-        return self.start <= other.start and other.end <= self.end
-
-    @property
-    def length(self):
-        return self.end - self.start
-
     def __str__(self):
         return f"[{self.start}, {fmt_tick(self.end)})"
 
@@ -96,8 +83,10 @@ class GapTree:
     demands, a mean of 42 and a max of 132 with subdivided edges and wide
     geographic links.
 
-    ``gaps_full`` builds an AGV's gaps over [0, INF) afresh on every call; a
-    path search reads each (resource, AGV) pair once and keeps the result.
+    ``gaps_from`` builds an AGV's gaps from a given tick on afresh on every
+    call, from the stored intervals that end after that tick only; a path
+    search reads each (resource, AGV) pair once, from its earliest tick, and
+    keeps the result.
 
     ``last_touched`` exposes how many stored intervals the most recent
     insert, remove or gap query examined, for locality assertions.
@@ -212,12 +201,22 @@ class GapTree:
         self.last_touched = hi - lo
         return [Interval(s, e) for s, e in _free(agv, start, end, stored)]
 
-    def gaps_full(self, agv: AgvId) -> tuple:
-        """``gap_query(agv, Interval(0, INF))`` as a tuple of (start, end)
-        tuples, built from the stored intervals on every call."""
-        if not self._starts:
-            return _ALL_FREE
-        return tuple(_free(agv, 0, INF, zip(self._starts, self._ends, self._ids)))
+    def gaps_from(self, agv: AgvId, since) -> tuple:
+        """``gap_query(agv, Interval(since, INF))`` as a tuple of (start, end)
+        tuples, built on every call from the stored intervals that end after
+        ``since``. A gap that straddles ``since`` comes back starting there.
+        """
+        ends = self._ends
+        if not ends:
+            return _ALL_FREE if since == 0 else ((since, INF),)
+        if ends[0] > since:
+            # Nothing ends by since: the common case, and every read from
+            # tick 0, skips the bisect and the slice copies.
+            stored = zip(self._starts, ends, self._ids)
+        else:
+            lo = bisect_right(ends, since)
+            stored = zip(self._starts[lo:], ends[lo:], self._ids[lo:])
+        return tuple(_free(agv, since, INF, stored))
 
     def holders_to_infinity(self) -> frozenset[AgvId]:
         """Ids holding a reservation that extends to INF, if any."""

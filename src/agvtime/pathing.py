@@ -7,19 +7,18 @@ whose own window must admit the full traversal, landing inside a window on
 the far node. Visits are half open, so departure may sit exactly on a window
 end while an arrival tick must be strictly inside its window.
 
-Each search reads an AGV's gaps on a resource once, on first use, and keeps
-only the windows that end after the search's ``earliest`` tick: every label
-enters at or after ``earliest`` and every edge takes at least one tick, so no
-move can use, or stop a scan at, a window that ends by then.
+Each search reads an AGV's gaps on a resource once, on first use, from its
+``earliest`` tick on: the tree drops the windows that end by then and clips
+one that straddles it to start there. Every label enters at or after
+``earliest``, so no move can use a dropped window, and a clipped start changes
+no departure tick and no test that ends a scan.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .graph import InvalidParameterError, ResourceGraph, spatial_path
@@ -157,12 +156,9 @@ class _Label:
 
 
 def _windows(tg: TimeGraph, memo: dict, rid: int, agv: AgvId, earliest: int) -> tuple:
-    """agv's gap windows on rid that end after ``earliest``, read from ``tg``
-    and stored in ``memo``, where callers look first."""
-    windows = tg.gaps_full(rid, agv)
-    if windows and windows[0][1] <= earliest:
-        windows = windows[bisect_right(windows, earliest, key=itemgetter(1)):]
-    memo[rid] = windows
+    """agv's gap windows on rid from ``earliest`` on, read from ``tg`` and
+    stored in ``memo``, where callers look first."""
+    windows = memo[rid] = tg.gaps_from(rid, agv, earliest)
     return windows
 
 

@@ -8,7 +8,6 @@ keeps all previously committed reservations intact.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 from .anchoring import greedy_anchorise, naive_anchorise
 from .footprint import boundary_reservations
 from .graph import GeoLinks, InvalidParameterError, ResourceGraph
-from .intervals import INF, AgvId, Interval, is_finite
+from .intervals import INF, AgvId, Interval
 from .pathing import (
     SourceSpec,
     Stage,
@@ -113,13 +112,7 @@ class Timetable:
         return max(arrivals, default=0)
 
     def total_distance(self):
-        g = self.tg.graph
-        total = 0
-        for steps in self.trimmed_steps().values():
-            for s in steps:
-                if not g.is_node(s.resource):
-                    total += s.end - s.start
-        return total
+        return _distance(self.tg.graph, self.trimmed_steps())
 
     def is_anchored(self) -> bool:
         g = self.tg.graph
@@ -132,32 +125,51 @@ class Timetable:
         return True
 
     def to_json(self) -> str:
+        """The timetable as ``json.dumps(doc, sort_keys=True, indent=2)``
+        would write it, plus a newline, but written directly: ``indent``
+        forces CPython's pure-Python encoder, several times slower.
+
+        Keys come in sorted order; infinite ticks are ``"inf"``. Resource
+        names from ``describe`` are plain ASCII and need no escaping.
+        """
         g = self.tg.graph
+        name = g.describe
+        trimmed = self.trimmed_steps()
+        agvs = []
+        for agv in sorted(trimmed):
+            rows = [
+                f'        {{\n          "end": {_tick(e)},\n'
+                f'          "resource": "{name(r)}",\n'
+                f'          "start": {_tick(s)}\n        }}'
+                for r, s, e in trimmed[agv]
+            ]
+            agvs.append(f'    {{\n      "id": {agv},\n      "steps": {_list(rows, "      ")}\n    }}')
+        return (
+            f'{{\n  "agvs": {_list(agvs, "  ")},\n  "metrics": {{\n'
+            f'    "makespan": {_tick(self.makespan())},\n'
+            f'    "total_distance": {_distance(g, trimmed)}\n  }}\n}}\n'
+        )
 
-        def tick(v):
-            return int(v) if is_finite(v) else "inf"
 
-        doc = {
-            "agvs": [
-                {
-                    "id": agv,
-                    "steps": [
-                        {
-                            "resource": g.describe(s.resource),
-                            "start": tick(s.start),
-                            "end": tick(s.end),
-                        }
-                        for s in steps
-                    ],
-                }
-                for agv, steps in sorted(self.trimmed_steps().items())
-            ],
-            "metrics": {
-                "makespan": tick(self.makespan()),
-                "total_distance": self.total_distance(),
-            },
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def _distance(g: ResourceGraph, trimmed) -> int:
+    """Ticks spent on edges over every AGV's trimmed steps."""
+    total = 0
+    for steps in trimmed.values():
+        for s in steps:
+            if not g.is_node(s.resource):
+                total += s.end - s.start
+    return total
+
+
+def _tick(t) -> str:
+    return '"inf"' if t == INF else str(int(t))
+
+
+def _list(items, indent: str) -> str:
+    """JSON list text of already indented items, closing at ``indent``."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
 
 
 def metrics(tt: Timetable) -> dict:

@@ -53,12 +53,18 @@ class TimeGraph:
     def gap_query(self, resource: int, agv: AgvId, window: Interval):
         return self.trees[resource].gap_query(agv, window)
 
+    def gaps_from(self, resource: int, agv: AgvId, since):
+        """agv's gaps on resource over [since, INF) as (start, end) tuples,
+        the first clipped to start at ``since``. The path search's only read:
+        it calls this once per (resource, agv) pair with its earliest tick
+        and keeps the result for the rest of the search."""
+        return self.trees[resource].gaps_from(agv, since)
+
     def gaps_full(self, resource: int, agv: AgvId):
-        """All gaps for agv over [0, INF) as (start, end) tuples. The path
-        search calls this once per (resource, agv) pair, keeps the result for
-        the rest of the search and drops the windows that end by its earliest
-        tick itself."""
-        return self.trees[resource].gaps_full(agv)
+        """``gaps_from(resource, agv, 0)``. No planner code calls it; it is
+        kept only because ``perfbench/layers.py`` wraps it by name, and goes
+        once that tracer wraps ``gaps_from`` instead."""
+        return self.gaps_from(resource, agv, 0)
 
     def holders_to_infinity(self, resource: int) -> frozenset[AgvId]:
         return self.trees[resource].holders_to_infinity()

@@ -5,10 +5,13 @@ TimelineOracle tracks one python set per tick, the schedule oracle does a
 breadth-first sweep over (resource, tick, stage) states, and shortest_ticks
 runs its own Dijkstra over the raw edge list. dump_csv and snapshot_before
 read a TimeGraph's stored intervals for equality and immutability checks.
+timetable_json is the standard library's rendering of a timetable, which
+Timetable.to_json must match byte for byte.
 """
 
 import heapq
 import io
+import json
 
 from agvtime.intervals import INF, Interval, fmt_tick
 
@@ -160,3 +163,32 @@ def snapshot_before(tg, horizon):
                 break
             clip.append((rid, s, min(e, horizon), ids))
     return clip
+
+
+def timetable_json(tt):
+    """``tt`` as ``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline,
+    with the document built from ``tt``'s trimmed steps; the distance is
+    summed here, apart from the engine's."""
+    g = tt.tg.graph
+    trimmed = tt.trimmed_steps()
+
+    def tick(v):
+        return "inf" if v == INF else int(v)
+
+    distance = sum(
+        s.end - s.start for steps in trimmed.values() for s in steps if not g.is_node(s.resource)
+    )
+    doc = {
+        "agvs": [
+            {
+                "id": agv,
+                "steps": [
+                    {"resource": g.describe(s.resource), "start": tick(s.start), "end": tick(s.end)}
+                    for s in steps
+                ],
+            }
+            for agv, steps in sorted(trimmed.items())
+        ],
+        "metrics": {"makespan": tick(tt.makespan()), "total_distance": distance},
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -26,17 +26,6 @@ def test_interval_validation():
         Interval(-1, 3)
     with pytest.raises(ValueError):
         Interval(INF, INF)
-    assert Interval(0, INF).length == INF
-    assert Interval(2, 9).length == 7
-
-
-def test_interval_relations():
-    a = iv(3, 7)
-    assert a.overlaps(iv(6, 10))
-    assert not a.overlaps(iv(7, 10))  # touching is not overlap
-    assert a.contains_tick(3)
-    assert not a.contains_tick(7)
-    assert iv(0, INF).covers(a)
 
 
 def test_insert_into_empty_then_query():
@@ -148,12 +137,27 @@ def random_op(rng, tree, oracle):
     else:
         got = [(g.start, g.end) for g in tree.gap_query(agv, w)]
         assert got == oracle.gaps(agv, w), f"gap mismatch for agv {agv} in {w}"
-        # the memoised full-range read, which inserts and removes must expire
-        full = tree.gaps_full(agv)
+        # the search's read: from tick 0, and from a tick inside a stored
+        # interval, on a stored end, past the last one, or anywhere
         everything = iv(0, INF)
+        full = tree.gaps_from(agv, 0)
         assert list(full) == [(g.start, g.end) for g in tree.gap_query(agv, everything)]
-        clipped = [(s, min(e, HORIZON)) for s, e in full if s < HORIZON]
-        assert clipped == oracle.gaps(agv, everything), f"full-range gap mismatch for agv {agv}"
+        for since in since_ticks(rng, tree):
+            got = [(s, min(e, HORIZON)) for s, e in tree.gaps_from(agv, since) if s < HORIZON]
+            want = oracle.gaps(agv, iv(since, HORIZON)) if since < HORIZON else []
+            assert got == want, f"gaps_from({agv}, {since}) mismatch"
+
+
+def since_ticks(rng, tree):
+    """Read ticks for gaps_from: 0, a random tick, and where the tree has
+    them, a tick inside a stored interval, a stored end, and one past the
+    last stored interval."""
+    ticks = [0, rng.randrange(HORIZON + 2)]
+    stored = tree.intervals()
+    if stored:
+        s, e, _ = rng.choice(stored)
+        ticks += [rng.randrange(s, min(e, HORIZON + 1)), e, stored[-1][1] + 1]
+    return [t for t in ticks if t != INF]
 
 
 def test_differential_small_sequences():

@@ -277,15 +277,15 @@ def test_matches_exhaustive_search_from_later_tick():
 
 
 def counted_reads(monkeypatch, tg):
-    """Per (resource, agv) count of ``tg.gaps_full`` calls from now on."""
+    """Per (resource, agv) count of ``tg.gaps_from`` calls from now on."""
     reads = {}
-    real = tg.gaps_full
+    real = tg.gaps_from
 
-    def gaps_full(rid, agv):
+    def gaps_from(rid, agv, since):
         reads[rid, agv] = reads.get((rid, agv), 0) + 1
-        return real(rid, agv)
+        return real(rid, agv, since)
 
-    monkeypatch.setattr(tg, "gaps_full", gaps_full)
+    monkeypatch.setattr(tg, "gaps_from", gaps_from)
     return reads
 
 

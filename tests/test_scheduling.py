@@ -22,7 +22,7 @@ from agvtime.scheduling import (
 )
 from agvtime.timegraph import audit_safety
 
-from oracles import shortest_ticks, snapshot_before
+from oracles import shortest_ticks, snapshot_before, timetable_json
 
 
 def rid_at(g, xy):
@@ -208,3 +208,27 @@ def test_timetable_json_shape():
     assert steps[0]["start"] == 0
     assert all(isinstance(s["resource"], str) for s in steps)
     assert doc["metrics"]["total_distance"] == 5000
+
+
+def test_timetable_json_matches_standard_encoder():
+    g = build_grid(5, 3)
+    placements = {
+        1: SourceSpec(rid_at(g, (1, 1))),
+        2: SourceSpec(rid_at(g, (3, 3))),
+        7: SourceSpec(rid_at(g, (2, 2))),
+    }
+    demands = [
+        Demand(0, rid_at(g, (2, 1)), rid_at(g, (1, 3))),
+        Demand(1, rid_at(g, (3, 2)), rid_at(g, (1, 2))),
+        Demand(2, rid_at(g, (1, 2)), rid_at(g, (3, 1)), horizon=30),
+        Demand(3, rid_at(g, (2, 3)), rid_at(g, (2, 1)), horizon=30),
+        Demand(4, rid_at(g, (3, 1)), rid_at(g, (1, 1)), horizon=60),
+    ]
+    tt = build(g, placements, demands, seed=11)
+    assert max(len(plist) for plist in tt.paths.values()) > 2
+    assert all(steps[-1].end == INF for steps in tt.trimmed_steps().values())
+    assert tt.to_json() == timetable_json(tt)
+
+    empty = build(g, {}, [])
+    assert empty.to_json() == timetable_json(empty)
+    assert '"agvs": []' in empty.to_json()

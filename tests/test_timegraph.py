@@ -45,6 +45,13 @@ def test_gaps_full_follows_tree_changes():
     after = tg.gaps_full(5, 2)
     assert after is not first
     assert after == ((0, 10), (20, 40), (50, INF))
+    # Read from a later tick: a gap that straddles it starts there, a gap
+    # that ends on it is dropped, and an empty tree is free from it on.
+    assert tg.gaps_from(5, 2, 25) == ((25, 40), (50, INF))
+    assert tg.gaps_from(5, 2, 10) == ((20, 40), (50, INF))
+    assert tg.gaps_from(5, 2, 45) == ((50, INF),)
+    assert tg.gaps_from(5, 2, 60) == ((60, INF),)
+    assert tg.gaps_from(6, 2, 25) == ((25, INF),)
 
 
 def test_holders_to_infinity():

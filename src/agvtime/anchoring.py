@@ -29,20 +29,22 @@ class AnchorResult:
         return not self.stalled
 
 
+def _pin(links: GeoLinks, agv: AgvId, rid: int) -> list[Reservation]:
+    """agv's hold on rid and its linked surroundings for all time."""
+    return [Reservation(r, agv, Interval(0, INF)) for r in sorted(links.linked[rid])]
+
+
 def initialise_reservations(
     tg: TimeGraph, links: GeoLinks, placements: dict[AgvId, SourceSpec]
-) -> dict[AgvId, list[Reservation]]:
+) -> None:
     """Pin each AGV's start and its linked surroundings for all time."""
-    out = {}
     for agv, spec in placements.items():
-        rs = [Reservation(r, agv, Interval(0, INF)) for r in sorted(links.linked[spec.resource])]
-        tg.reserve_all(rs)
-        out[agv] = rs
-    return out
+        tg.reserve_all(_pin(links, agv, spec.resource))
 
 
-def _commit(tg, links, init, agv, path):
-    tg.remove_all(init[agv])
+def _commit(tg, links, agv, path):
+    """Swap agv's start pin, on its path's first resource, for the path."""
+    tg.remove_all(_pin(links, agv, path.steps[0].resource))
     tg.reserve_all(boundary_reservations(path.steps, links, agv))
 
 
@@ -59,7 +61,7 @@ def naive_anchorise(
     """
     g = tg.graph
     stages = [Stage(g.anchors, INF)]
-    init = initialise_reservations(tg, links, placements)
+    initialise_reservations(tg, links, placements)
     rng = random.Random(seed)
     pending = sorted(placements)
     paths: dict[AgvId, TimePath] = {}
@@ -72,7 +74,7 @@ def naive_anchorise(
             p = time_path(tg, agv, placements[agv], stages)
             if p is None:
                 continue
-            _commit(tg, links, init, agv, p)
+            _commit(tg, links, agv, p)
             paths[agv] = p
             progressed = True
         pending = [a for a in pending if a not in paths]
@@ -89,7 +91,7 @@ def greedy_anchorise(
     """Race all unparked AGVs at once; the soonest finisher commits each round."""
     g = tg.graph
     stages = [Stage(g.anchors, INF)]
-    init = initialise_reservations(tg, links, placements)
+    initialise_reservations(tg, links, placements)
     pending = set(placements)
     paths: dict[AgvId, TimePath] = {}
     attempts = 0
@@ -99,7 +101,7 @@ def greedy_anchorise(
         p = multi_source_time_path(tg, sources, stages)
         if p is None:
             return AnchorResult(paths, frozenset(pending), attempts)
-        _commit(tg, links, init, p.agv, p)
+        _commit(tg, links, p.agv, p)
         paths[p.agv] = p
         pending.discard(p.agv)
     return AnchorResult(paths, frozenset(), attempts)

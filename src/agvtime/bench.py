@@ -30,12 +30,12 @@ def _fmt_ms(seconds: float) -> str:
     return f"{seconds * 1000.0:.3f}"
 
 
-def bench_anchorisers(*, grid=20, agv_counts=(5, 10, 20), seed=0, weight=10):
+def bench_anchorisers(*, grid=20, agv_counts=(5, 10, 20), seed=0):
     rows = []
     for i, count in enumerate(agv_counts):
-        sc = generate(grid=grid, agvs=count, demands=0, seed=seed + i, weight=weight)
+        sc = generate(grid=grid, agvs=count, demands=0, seed=seed + i)
+        g, links, placements, _ = materialise(sc)
         for name, run in (("naive", naive_anchorise), ("greedy", greedy_anchorise)):
-            g, links, placements, _ = materialise(sc)
             tg = TimeGraph(g)
             kwargs = {"seed": sc.seed} if name == "naive" else {}
             t0 = time.perf_counter()
@@ -49,12 +49,12 @@ def bench_anchorisers(*, grid=20, agv_counts=(5, 10, 20), seed=0, weight=10):
     return rows
 
 
-def bench_presets(*, sizes=(8, 12, 16, 20, 30), agvs=4, demands=40, seed=0, weight=10):
+def bench_presets(*, sizes=(8, 12, 16, 20, 30), agvs=4, demands=40, seed=0):
     rows = []
     for i, n in enumerate(sizes):
-        sc = generate(grid=n, agvs=agvs, demands=demands, seed=seed + i, weight=weight)
+        sc = generate(grid=n, agvs=agvs, demands=demands, seed=seed + i)
+        g, links, placements, ds = materialise(sc)
         for preset in PRESETS:
-            g, links, placements, ds = materialise(sc)
             tt = build_timetable(
                 g,
                 links,
@@ -100,16 +100,19 @@ def corner_route_steps(g, start, goal):
     return steps
 
 
+# Edge weight of the reservers grid: divisible by every default subdivision.
+RESERVERS_WEIGHT = 12
+
 # One expansion at subdivision 1 takes well under a millisecond: too short a
 # sample for the naive/boundary ratios to hold still under scheduler noise.
 EXPANSIONS_PER_SAMPLE = 5
 
 
-def bench_reservers(*, grid=40, subdivisions=(1, 2, 4, 6), weight=12, reps=20):
+def bench_reservers(*, grid=40, subdivisions=(1, 2, 4, 6), reps=20):
     """Best of ``reps`` samples per expansion, naive and boundary samples
     alternating so that drift in machine speed cannot skew their ratio."""
     rows = []
-    base = build_grid(grid, weight)
+    base = build_grid(grid, RESERVERS_WEIGHT)
     for s in subdivisions:
         g = subdivide(base, s)
         links = build_adjacency_links(g, s)

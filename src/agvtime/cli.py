@@ -53,12 +53,9 @@ def _flag(dest: str) -> str:
 
 
 def int_list(text: str):
-    """Comma-separated integers; as an argparse type, a bad item or an empty
-    list is a usage error."""
-    items = tuple(int(x) for x in text.split(",") if x)
-    if not items:
-        raise ValueError("empty list")
-    return items
+    """Comma-separated integers; as an argparse type, a bad or empty item is
+    a usage error."""
+    return tuple(int(x) for x in text.split(","))
 
 
 def _add_generate_flags(p: argparse.ArgumentParser) -> None:

@@ -152,49 +152,44 @@ class _Label:
         self.entry = entry
         self.stage = stage
         self.parent = parent
-        self.via = via  # (edge rid, depart, arrive) or None
-
-
-def _windows(tg: TimeGraph, memo: dict, rid: int, agv: AgvId, earliest: int) -> tuple:
-    """agv's gap windows on rid from ``earliest`` on, read from ``tg`` and
-    stored in ``memo``, where callers look first."""
-    windows = memo[rid] = tg.gaps_from(rid, agv, earliest)
-    return windows
+        self.via = via  # (edge rid, depart, arrive) into this label, or None
 
 
 def _source_label(tg: TimeGraph, memo: dict, agv: AgvId, spec: SourceSpec, earliest: int):
-    """Initial (node, window start, window end, entry) for one AGV, plus an
-    edge prefix step when it starts mid-edge; (None, None) when blocked."""
+    """Root label (node, window start, window end, entry, via) for one AGV,
+    where ``via`` is the rest of its start edge's crossing when it starts
+    mid-edge; None when blocked."""
     g = tg.graph
     rid = spec.resource
     head = check_source(g, spec)
-    windows = _windows(tg, memo, rid, agv, earliest)
+    windows = memo[rid] = tg.gaps_from(rid, agv, earliest)
     if not windows or windows[0][0] > earliest:
-        return None, None
+        return None
     if head is None:
-        return (rid, *windows[0], earliest), None
+        return (rid, *windows[0], earliest, None)
     # The rest of the crossing, [earliest, tau), must lie in one window.
     tau = earliest + (g.edge_at(rid).weight - spec.elapsed)
     if windows[0][1] < tau:
-        return None, None
-    for ws, we in _windows(tg, memo, head, agv, earliest):
+        return None
+    memo[head] = tg.gaps_from(head, agv, earliest)
+    for ws, we in memo[head]:
         if ws <= tau < we:
-            return (head, ws, we, tau), Step(rid, earliest, tau)
-    return None, None
+            return (head, ws, we, tau, (rid, earliest, tau))
+    return None
 
 
 def _search(tg: TimeGraph, sources, stages, guide: GuideFn, earliest: int, allowed):
     """Best-first scan over gap windows; first finished label is optimal.
 
-    ``sources`` is a list of (agv, SourceSpec). Returns (done label, prefix
-    steps by agv) or (None, {}) when no AGV can finish the route.
+    ``sources`` is a list of (agv, SourceSpec). Returns the done label, or
+    None when no AGV can finish the route.
     """
     check_stages(stages)
     K = len(stages)
     moves = tg.graph.moves
+    gaps_from = tg.gaps_from
     heappush, heappop = heapq.heappush, heapq.heappop
-    prefixes = {}
-    memos = {}  # agv -> {resource: _windows result}, filled on first read
+    memos = {}  # agv -> {resource: gap windows from earliest}, filled on first read
     heap = []
     seq = itertools.count()
     best = {}
@@ -212,15 +207,13 @@ def _search(tg: TimeGraph, sources, stages, guide: GuideFn, earliest: int, allow
 
     for agv, spec in sources:
         memo = memos[agv] = {}
-        start, prefix = _source_label(tg, memo, agv, spec, earliest)
-        if start is None:
+        root = _source_label(tg, memo, agv, spec, earliest)
+        if root is None:
             continue
-        node, ws, we, entry = start
+        node, ws, we, entry, via = root
         if allowed is not None and node not in allowed:
             continue
-        if prefix is not None:
-            prefixes[agv] = prefix
-        push(agv, node, ws, we, entry, 0, None, None)
+        push(agv, node, ws, we, entry, 0, None, via)
 
     while heap:
         lab = heappop(heap)[-1]
@@ -230,7 +223,7 @@ def _search(tg: TimeGraph, sources, stages, guide: GuideFn, earliest: int, allow
             continue
         best[key] = -1  # closed; real entries are never negative
         if stage == K:
-            return lab, prefixes
+            return lab
         st = stages[stage]
         if node in st.targets:
             if stage == K - 1:
@@ -245,10 +238,10 @@ def _search(tg: TimeGraph, sources, stages, guide: GuideFn, earliest: int, allow
                 continue
             edge_windows = memo.get(erid)
             if edge_windows is None:
-                edge_windows = _windows(tg, memo, erid, agv, earliest)
+                edge_windows = memo[erid] = gaps_from(erid, agv, earliest)
             dest_windows = memo.get(dest)
             if dest_windows is None:
-                dest_windows = _windows(tg, memo, dest, agv, earliest)
+                dest_windows = memo[dest] = gaps_from(dest, agv, earliest)
             reach = entry + w
             for es, ee in edge_windows:
                 if es > wend:
@@ -272,10 +265,10 @@ def _search(tg: TimeGraph, sources, stages, guide: GuideFn, earliest: int, allow
                     best[key] = arr
                     nxt = _Label(agv, dest, ds, de, arr, stage, lab, (erid, dep, arr))
                     heappush(heap, (arr + guide(dest, stage), arr, -stage, dest, next(seq), nxt))
-    return None, prefixes
+    return None
 
 
-def _emit(done, final_stop, prefix) -> tuple[Step, ...]:
+def _emit(done, final_stop) -> tuple[Step, ...]:
     """Fold the label chain into contiguous steps, merging same-node holds."""
     chain = []
     lab = done
@@ -284,13 +277,14 @@ def _emit(done, final_stop, prefix) -> tuple[Step, ...]:
         lab = lab.parent
     chain.reverse()
 
-    steps = [] if prefix is None else [prefix]
+    steps = []
     hold_start = chain[0].entry
-    for lab in chain[1:]:
+    for lab in chain:
         if lab.via is None:
-            continue  # stage completion or the finishing marker, same node
+            continue  # a node source, a stage completion or the finishing marker
         erid, dep, arr = lab.via
-        steps.append(Step(lab.parent.node, hold_start, dep))
+        if lab.parent is not None:  # a root's via is the rest of its start edge
+            steps.append(Step(lab.parent.node, hold_start, dep))
         steps.append(Step(erid, dep, arr))
         hold_start = arr
     arrival = done.entry
@@ -327,11 +321,10 @@ def multi_source_time_path(
     """Race several AGVs over one route; the soonest finisher's path wins."""
     if guide is None:
         guide = zero_guide(tg.graph, stages)
-    done, prefixes = _search(tg, sources, stages, guide, earliest, allowed)
+    done = _search(tg, sources, stages, guide, earliest, allowed)
     if done is None:
         return None
-    steps = _emit(done, stages[-1].stop, prefixes.get(done.agv))
-    return TimePath(done.agv, steps, done.entry)
+    return TimePath(done.agv, _emit(done, stages[-1].stop), done.entry)
 
 
 def route_corridor(

@@ -22,7 +22,7 @@ from .graph import (
     validate,
 )
 from .pathing import SourceSpec, check_source
-from .scheduling import ANCHORISERS, PRESETS, Demand, check_demands
+from .scheduling import Demand, check_plan
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,13 +118,9 @@ def validate_scenario(sc: Scenario):
         if type(sc.seed) is not int:
             raise InvalidParameterError(f"seed must be an integer, got {sc.seed!r}")
         g, placements, demands = _graph_and_fleet(sc)
-        check_demands(g, demands)
-        if sc.preset not in PRESETS:
-            raise InvalidParameterError(f"unknown preset {sc.preset!r}")
+        check_plan(g, placements, demands, sc.preset, sc.anchoriser)
         if "manhattan" in sc.preset and (g.coords is None or g.unit_weight is None):
             raise InvalidParameterError(f"preset {sc.preset} needs graph coords and unit_weight")
-        if sc.anchoriser not in ANCHORISERS:
-            raise InvalidParameterError(f"unknown anchoriser {sc.anchoriser!r}")
     except InvalidParameterError as err:
         return str(err)
     return validate(g, len(placements))

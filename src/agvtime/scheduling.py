@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .anchoring import greedy_anchorise, naive_anchorise
 from .footprint import boundary_reservations
@@ -63,7 +63,15 @@ class Demand:
     horizon: int = 0
 
 
-def check_demands(g: ResourceGraph, demands) -> None:
+def check_plan(g: ResourceGraph, placements, demands, preset: str, anchoriser: str) -> None:
+    """Raise InvalidParameterError unless the preset, the anchoriser and the
+    demands make a plan ``build_timetable`` can attempt."""
+    if preset not in PRESETS:
+        raise InvalidParameterError(f"unknown preset {preset!r}")
+    if anchoriser not in ANCHORISERS:
+        raise InvalidParameterError(f"unknown anchoriser {anchoriser!r}")
+    if demands and not placements:
+        raise InvalidParameterError("demands given but the fleet is empty")
     ids = [d.id for d in demands]
     if len(ids) != len(set(ids)):
         raise InvalidParameterError("demand ids are not unique")
@@ -86,24 +94,23 @@ class Timetable:
     paths: dict[AgvId, list[TimePath]]
     tg: TimeGraph
     runtime_ms: float = 0.0
+    # Per AGV, the physical timeline: anchor holds cut at the next departure.
+    steps: dict[AgvId, list[Step]] = field(init=False, repr=False)
 
-    def trimmed_steps(self) -> dict[AgvId, list[Step]]:
-        """Per AGV, the physical timeline: anchor holds cut at the next departure."""
-        out = {}
+    def __post_init__(self):
+        self.steps = {}
         for agv, plist in self.paths.items():
             steps: list[Step] = []
             for p in plist:
                 if steps:
                     last = steps[-1]
-                    cut = p.steps[0].start
-                    steps[-1] = Step(last.resource, last.start, cut)
+                    steps[-1] = Step(last.resource, last.start, p.steps[0].start)
                 steps.extend(p.steps)
-            out[agv] = steps
-        return out
+            self.steps[agv] = steps
 
     def occupations(self):
         flat = []
-        for agv, steps in sorted(self.trimmed_steps().items()):
+        for agv, steps in sorted(self.steps.items()):
             flat.extend((agv, s.resource, s.start, s.end) for s in steps)
         return flat
 
@@ -111,8 +118,12 @@ class Timetable:
         arrivals = [plist[-1].arrival for plist in self.paths.values() if plist]
         return max(arrivals, default=0)
 
-    def total_distance(self):
-        return _distance(self.tg.graph, self.trimmed_steps())
+    def total_distance(self) -> int:
+        """Ticks spent on edges over every AGV's timeline."""
+        g = self.tg.graph
+        return sum(
+            s.end - s.start for steps in self.steps.values() for s in steps if not g.is_node(s.resource)
+        )
 
     def is_anchored(self) -> bool:
         g = self.tg.graph
@@ -132,33 +143,21 @@ class Timetable:
         Keys come in sorted order; infinite ticks are ``"inf"``. Resource
         names from ``describe`` are plain ASCII and need no escaping.
         """
-        g = self.tg.graph
-        name = g.describe
-        trimmed = self.trimmed_steps()
+        name = self.tg.graph.describe
         agvs = []
-        for agv in sorted(trimmed):
+        for agv, steps in sorted(self.steps.items()):
             rows = [
                 f'        {{\n          "end": {_tick(e)},\n'
                 f'          "resource": "{name(r)}",\n'
                 f'          "start": {_tick(s)}\n        }}'
-                for r, s, e in trimmed[agv]
+                for r, s, e in steps
             ]
             agvs.append(f'    {{\n      "id": {agv},\n      "steps": {_list(rows, "      ")}\n    }}')
         return (
             f'{{\n  "agvs": {_list(agvs, "  ")},\n  "metrics": {{\n'
             f'    "makespan": {_tick(self.makespan())},\n'
-            f'    "total_distance": {_distance(g, trimmed)}\n  }}\n}}\n'
+            f'    "total_distance": {self.total_distance()}\n  }}\n}}\n'
         )
-
-
-def _distance(g: ResourceGraph, trimmed) -> int:
-    """Ticks spent on edges over every AGV's trimmed steps."""
-    total = 0
-    for steps in trimmed.values():
-        for s in steps:
-            if not g.is_node(s.resource):
-                total += s.end - s.start
-    return total
 
 
 def _tick(t) -> str:
@@ -206,14 +205,8 @@ def build_timetable(
     stop_dropoff: int = 0,
     seed: int = 0,
 ) -> Timetable:
-    if preset not in PRESETS:
-        raise InvalidParameterError(f"unknown preset {preset!r}")
-    if anchoriser not in ANCHORISERS:
-        raise InvalidParameterError(f"unknown anchoriser {anchoriser!r}")
     demands = list(demands)
-    if demands and not placements:
-        raise InvalidParameterError("demands given but the fleet is empty")
-    check_demands(g, demands)
+    check_plan(g, placements, demands, preset, anchoriser)
     t0 = time.perf_counter()
     rng = random.Random(seed)
     tg = TimeGraph(g)
@@ -258,6 +251,4 @@ def build_timetable(
             tg.reserve_all(boundary_reservations(p.steps, links, agv))
             paths[agv].append(p)
 
-    tt = Timetable(paths, tg)
-    tt.runtime_ms = (time.perf_counter() - t0) * 1000.0
-    return tt
+    return Timetable(paths, tg, (time.perf_counter() - t0) * 1000.0)

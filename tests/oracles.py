@@ -167,10 +167,17 @@ def snapshot_before(tg, horizon):
 
 def timetable_json(tt):
     """``tt`` as ``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline,
-    with the document built from ``tt``'s trimmed steps; the distance is
-    summed here, apart from the engine's."""
+    with the document built from ``tt.paths`` alone: each path's last step is
+    cut here at the next path's first start, and the distance summed here,
+    apart from the engine's timeline."""
     g = tt.tg.graph
-    trimmed = tt.trimmed_steps()
+    trimmed = {}
+    for agv, plist in tt.paths.items():
+        trimmed[agv] = []
+        for p, nxt in zip(plist, [*plist[1:], None]):
+            *body, last = p.steps
+            end = last.end if nxt is None else nxt.steps[0].start
+            trimmed[agv] += [*body, last._replace(end=end)]
 
     def tick(v):
         return "inf" if v == INF else int(v)

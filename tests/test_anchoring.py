@@ -61,11 +61,11 @@ def test_initialise_pins_start_and_surroundings():
     g = build_grid(4, 10)
     links = build_adjacency_links(g, 1)
     tg = TimeGraph(g)
-    init = initialise_reservations(tg, links, {1: SourceSpec(5)})
-    rids = {r.resource for r in init[1]}
-    assert rids == {5} | set(links.linked[5])
-    for r in rids:
-        assert tg.holders_to_infinity(r) == frozenset({1})
+    initialise_reservations(tg, links, {1: SourceSpec(5)})
+    pinned = {r for r, tree in enumerate(tg.trees) if len(tree)}
+    assert pinned == {5} | set(links.linked[5])
+    for r in pinned:
+        assert tg.trees[r].intervals() == [(0, INF, frozenset({1}))]
 
 
 @pytest.mark.parametrize("run", [naive_anchorise, greedy_anchorise])

@@ -245,6 +245,18 @@ def test_multi_source_soonest_finisher_wins():
     assert p.agv == 2 and p.arrival == 20
 
 
+def test_multi_source_race_between_edge_sources():
+    # 0 -e4- 1 -e5- 2 -e6- 3: AGV 1 is 2 ticks into e4, AGV 2 is 5 ticks
+    # into e6 and so reaches node 3 first; its own crossing leads its path.
+    g = line([10, 10, 10])
+    sources = [(1, SourceSpec(4, elapsed=2)), (2, SourceSpec(6, elapsed=5))]
+    tg = TimeGraph(g)
+    p = multi_source_time_path(tg, sources, [Stage({3}, 0)], earliest=3)
+    assert p.agv == 2 and p.arrival == 8
+    assert p.steps[0] == Step(6, 3, 8)
+    assert all(s.resource != 4 for s in p.steps)
+
+
 def test_matches_exhaustive_search_from_later_tick():
     # Reservations near the source end before ``earliest``, end exactly at
     # it, and straddle it: windows that end by ``earliest`` are dropped, the

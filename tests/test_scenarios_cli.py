@@ -320,6 +320,8 @@ def test_cli_invalid_parameters_exit_code(tmp_path, capsys):
         ["bench", "--suite", "anchorisers", "--agv-counts", "", "--out", str(tmp_path / "bench")],
         ["bench", "--suite", "presets", "--sizes", "", "--out", str(tmp_path / "bench")],
         ["bench", "--suite", "reservers", "--grid", "4", "--subdivisions", "", "--out", str(tmp_path / "bench")],
+        # an empty item inside a list
+        ["bench", "--suite", "anchorisers", "--grid", "6", "--agv-counts", "2,,3", "--out", str(tmp_path / "bench")],
     ):
         try:
             code = main(argv)
@@ -329,6 +331,7 @@ def test_cli_invalid_parameters_exit_code(tmp_path, capsys):
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1, lines
         assert json.loads(lines[0])["error"] == "invalid"
+    assert not list(tmp_path.glob("bench/*.csv"))
     # the detail names what is wrong: the subdivision count, not the link
     # radius it caps, and a broken graph rule in words
     doc = json.loads(to_json(generate(grid=6, agvs=2, demands=0)))
@@ -559,3 +562,13 @@ def test_cli_run_keeps_the_benchmark_trace_hooks(tmp_path, capsys):
         "scheduling.serialise",
     ):
         assert tracer.span(name).calls == 1, name
+    # One anchorisation, then a search and a footprint per AGV and per
+    # demand; a pin per AGV besides those commits, and a release per commit.
+    for name, calls in (
+        ("anchoring", 1),
+        ("pathing.search", 5),
+        ("footprint", 5),
+        ("timegraph.reserve_all", 7),
+        ("timegraph.remove_all", 5),
+    ):
+        assert tracer.span(name).calls == calls, name

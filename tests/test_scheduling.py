@@ -1,5 +1,7 @@
 """Timetable construction: hand-checked routes, immutability, determinism."""
 
+import json
+
 import pytest
 
 from agvtime.graph import (
@@ -41,7 +43,7 @@ def build(g, placements, demands, **kw):
 def assert_clean(tt):
     assert tt.is_anchored()
     assert audit_safety(tt.tg, tt.occupations()) is None
-    for steps in tt.trimmed_steps().values():
+    for steps in tt.steps.values():
         for a, b in zip(steps, steps[1:]):
             assert a.end == b.start
         assert steps[0].start == 0
@@ -226,8 +228,15 @@ def test_timetable_json_matches_standard_encoder():
     ]
     tt = build(g, placements, demands, seed=11)
     assert max(len(plist) for plist in tt.paths.values()) > 2
-    assert all(steps[-1].end == INF for steps in tt.trimmed_steps().values())
+    assert all(steps[-1].end == INF for steps in tt.steps.values())
     assert tt.to_json() == timetable_json(tt)
+    # The audit reads the timeline the file was written from.
+    written = [
+        (agv["id"], g.resource_id(s["resource"]), s["start"], INF if s["end"] == "inf" else s["end"])
+        for agv in json.loads(tt.to_json())["agvs"]
+        for s in agv["steps"]
+    ]
+    assert tt.occupations() == written
 
     empty = build(g, {}, [])
     assert empty.to_json() == timetable_json(empty)

@@ -18,21 +18,25 @@ def main():
           f"{fine.num_nodes} nodes, {len(fine.edges)} edges "
           f"(weights {g.edges[0].weight} -> {fine.edges[0].weight})")
 
-    links = build_adjacency_links(fine, s)
+    # The shell at radius r is the ball of radius r minus the ball of r - 1.
+    radii = (1, 2, 3, 5)
+    balls = {r: build_adjacency_links(fine, r).linked for r in range(1, max(radii) + 1)}
+
+    def shell(r, v):
+        return balls[r][v] - (balls[r - 1][v] if r > 1 else {v})
+
     interior = sorted(set(range(fine.num_nodes)) - fine.anchors)
     mid = interior[len(interior) // 2]
-    ball = links.linked[mid]
-    shell = links.boundary[mid]
+    ball = balls[s][mid]
     print(f"\nlink radius {s} around resource {fine.describe(mid)}:")
     print(f"  footprint size {len(ball)} (itself plus {len(ball) - 1} linked)")
-    print(f"  boundary shell size {len(shell)}: "
-          f"{sorted(fine.describe(r) for r in shell)[:6]} ...")
-    print("  a moving footprint can only gain or lose coverage through the shell")
+    print(f"  boundary shell size {len(shell(s, mid))}: "
+          f"{sorted(fine.describe(r) for r in shell(s, mid))[:6]} ...")
+    print("  a step to a neighbour gains or loses coverage only on the shells")
 
-    for radius in (1, 2, 3, 5):
-        lr = build_adjacency_links(fine, radius)
-        sizes = [len(lr.linked[v]) for v in interior]
-        shells = [len(lr.boundary[v]) for v in interior]
+    for radius in radii:
+        sizes = [len(balls[radius][v]) for v in interior]
+        shells = [len(shell(radius, v)) for v in interior]
         print(f"radius {radius}: mean ball {sum(sizes)/len(sizes):6.1f}   "
               f"mean shell {sum(shells)/len(shells):5.1f}")
     print("balls grow with the square of the radius, shells roughly linearly")

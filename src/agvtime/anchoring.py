@@ -29,9 +29,11 @@ class AnchorResult:
         return not self.stalled
 
 
-def _pin(links: GeoLinks, agv: AgvId, rid: int) -> list[Reservation]:
-    """agv's hold on rid and its linked surroundings for all time."""
-    return [Reservation(r, agv, Interval(0, INF)) for r in sorted(links.linked[rid])]
+def hold(links: GeoLinks, agv: AgvId, rid: int, since) -> list[Reservation]:
+    """agv's open ended hold on rid and its linked surroundings from ``since``:
+    a start pin from tick 0, and what a path starting on rid at ``since``
+    releases, its own footprint taking over from there."""
+    return [Reservation(r, agv, Interval(since, INF)) for r in sorted(links.linked[rid])]
 
 
 def initialise_reservations(
@@ -39,12 +41,13 @@ def initialise_reservations(
 ) -> None:
     """Pin each AGV's start and its linked surroundings for all time."""
     for agv, spec in placements.items():
-        tg.reserve_all(_pin(links, agv, spec.resource))
+        tg.reserve_all(hold(links, agv, spec.resource, 0))
 
 
 def _commit(tg, links, agv, path):
     """Swap agv's start pin, on its path's first resource, for the path."""
-    tg.remove_all(_pin(links, agv, path.steps[0].resource))
+    first = path.steps[0]
+    tg.remove_all(hold(links, agv, first.resource, first.start))
     tg.reserve_all(boundary_reservations(path.steps, links, agv))
 
 

@@ -5,11 +5,12 @@ safety radius, so each path step fans out over the step resource's linked
 set. The naive expansion emits one reservation per linked resource per step,
 which duplicates heavily since consecutive steps share most of their
 surroundings. The boundary expansion walks the path once, keeping a running
-frontier: resources can only enter or leave the moving footprint through the
-boundary shell, so per-step work scales with the shell size instead of the
-whole linked set. A run of zero-length steps fuses with the step after it
-into one transition, whose sets are composed from the pair transitions it
-spans. Both expansions produce the same coverage;
+footprint: a step off ``a`` onto ``b`` closes what ``linked[a]`` holds and
+``linked[b]`` does not, and opens the reverse difference. Between neighbours
+both differences lie in the boundary shells, so per-step work scales with
+the shell size instead of the whole linked set. A run of zero-length steps
+fuses with the step after it into one transition, the difference of the
+balls at its two ends. Both expansions produce the same coverage;
 ``normalise`` puts either output into the canonical merged form.
 
 A link set includes its resource: a resource is always part of its own
@@ -40,9 +41,9 @@ class WorkCounter:
 def _checked_steps(steps):
     """Validate the chain is contiguous and non-inverted; empties stay in.
 
-    Zero-length steps reserve nothing, but they carry the spatial adjacency
-    of the walk: the boundary sweep relies on consecutive path resources
-    being neighbours, which an elided pass-through node would break.
+    Zero-length steps reserve nothing, but they carry the spatial links of
+    the walk: the boundary sweep needs consecutive path resources to be
+    linked, which an elided pass-through node could break.
     """
     out = []
     prev_end = None
@@ -77,52 +78,27 @@ def naive_reservations(steps, links: GeoLinks, agv: AgvId, counter: WorkCounter 
     return out
 
 
-def _pair_sets(linked, bound, a, b):
-    """Exact exit and entry sets for a transition between linked resources.
-
-    An exit is anything covered around ``a`` but not around ``b``; coverage
-    loss can only happen across a's boundary shell, so filtering that shell
-    captures every exit. Entries mirror it on b's shell.
-    """
-    La, Lb = linked[a], linked[b]
-    if b not in La:
-        raise PathShapeError(f"path steps between unlinked resources {a} and {b}")
-    exits = tuple(p for p in bound[a] if p not in Lb)
-    entries = tuple(q for q in bound[b] if q not in La)
-    return exits, entries
-
-
-def _fused_sets(first, second):
-    """Exit and entry sets for a -> mid -> b with an instantaneous mid,
-    composed from the transitions a -> mid and mid -> b.
-
-    A resource that exits on one leg and re-enters on the other never loses
-    coverage, and one that enters and leaves mid's footprint in the same
-    instant is never covered, so either drops out of both sets.
-    """
-    x1, n1 = first
-    x2, n2 = second
-    exits = tuple(p for p in x1 if p not in n2) + tuple(p for p in x2 if p not in n1)
-    entries = tuple(q for q in n1 if q not in x2) + tuple(q for q in n2 if q not in x1)
-    return exits, entries
-
-
 def _transition(links: GeoLinks, a, key):
     """Exit and entry sets for a step off ``a``, memoised on ``links``.
 
-    ``key`` is the resource stepped onto, or the tuple of resources a fused
-    run of instants spans, whose pair sets fold with ``_fused_sets``; int
-    and tuple keys share a's row.
+    ``key`` is the resource ``b`` stepped onto, or the tuple of resources a
+    fused run of instants spans, ending on ``b``; int and tuple keys share
+    a's row. Either way the exits are ``linked[a] - linked[b]`` and the
+    entries ``linked[b] - linked[a]``: a resource in both balls stays covered
+    through the instants, and one that only an instant's ball holds is
+    covered for no tick.
     """
     row = links.transitions.setdefault(a, {})
     sets = row.get(key)
     if sets is None:
-        linked, bound = links.linked, links.boundary
+        linked = links.linked
         path = key if type(key) is tuple else (key,)
-        sets = _pair_sets(linked, bound, a, path[0])
-        for mid, b in zip(path, path[1:]):
-            sets = _fused_sets(sets, _pair_sets(linked, bound, mid, b))
-        row[key] = sets
+        for u, v in zip((a, *path), path):
+            if v not in linked[u]:
+                raise PathShapeError(f"path steps between unlinked resources {u} and {v}")
+        La, Lb = linked[a], linked[path[-1]]
+        # As tuples the memo takes a third of the memory frozensets would.
+        sets = row[key] = (tuple(La - Lb), tuple(Lb - La))
     return sets
 
 

@@ -9,8 +9,7 @@ traffic.
 Geographic links tie each resource to its spatial surroundings via
 resource-adjacency distance (a node is adjacent to its incident edges and
 vice versa). ``linked[r]`` is the closed ball: r and everything within the
-radius, which is the footprint an AGV on r holds; ``boundary[r]`` the shell
-at exactly the radius.
+radius, which is the footprint an AGV on r holds.
 """
 
 import heapq
@@ -235,10 +234,9 @@ class GeoLinks:
 
     radius: int
     linked: tuple  # rid -> frozenset of rids within 0..radius, rid included
-    boundary: tuple  # rid -> frozenset of rids at exactly radius
-    # Lazily filled cache of exact per-transition entry/exit sets, keyed by
-    # the resource stepped from. Derived from linked/boundary, so it is
-    # excluded from comparisons.
+    # Lazily filled cache of exact per-transition exit/entry sets, keyed by
+    # the resource stepped from. Derived from linked only, so it is excluded
+    # from comparisons.
     transitions: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -253,21 +251,19 @@ def build_adjacency_links(g: ResourceGraph, s: int) -> GeoLinks:
     for i, e in enumerate(g.edges):
         adj[nn + i] = (e.a, e.b)
     linked = []
-    boundary = []
     for r in range(g.num_resources):
-        dist = {r: 0}
+        ball = {r}
         frontier = [r]
-        for d in range(1, s + 1):
+        for _ in range(s):
             nxt = []
             for p in frontier:
                 for q in adj[p]:
-                    if q not in dist:
-                        dist[q] = d
+                    if q not in ball:
+                        ball.add(q)
                         nxt.append(q)
             frontier = nxt
-        linked.append(frozenset(dist))
-        boundary.append(frozenset(p for p, d in dist.items() if d == s))
-    return GeoLinks(s, tuple(linked), tuple(boundary))
+        linked.append(frozenset(ball))
+    return GeoLinks(s, tuple(linked))
 
 
 def manhattan_bound(g: ResourceGraph, u: int, v: int) -> int:

@@ -1,9 +1,10 @@
 """Myopic timetable construction: park everyone, then serve demands in batches.
 
 Every committed plan ends with an open ended hold on an anchor, so the fleet's
-whole future is always reserved. Planning a new route for an AGV trims that
-hold from the departure tick onward and never touches anything earlier, which
-keeps all previously committed reservations intact.
+whole future is always reserved. Committing a new route for an AGV trims that
+hold from the route's first tick onward, the tick where ``Timetable`` cuts it
+too, and never touches anything earlier, which keeps all previously committed
+reservations intact.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .anchoring import greedy_anchorise, naive_anchorise
+from .anchoring import greedy_anchorise, hold, naive_anchorise
 from .footprint import boundary_reservations
 from .graph import GeoLinks, InvalidParameterError, ResourceGraph
-from .intervals import INF, AgvId, Interval
+from .intervals import INF, AgvId
 from .pathing import (
     SourceSpec,
     Stage,
@@ -25,7 +26,7 @@ from .pathing import (
     route_corridor,
     time_path,
 )
-from .timegraph import Reservation, TimeGraph
+from .timegraph import TimeGraph
 
 PRESETS = (
     "full-zero",
@@ -94,7 +95,7 @@ class Timetable:
     paths: dict[AgvId, list[TimePath]]
     tg: TimeGraph
     runtime_ms: float = 0.0
-    # Per AGV, the physical timeline: anchor holds cut at the next departure.
+    # Per AGV, the physical timeline: anchor holds cut where the next path starts.
     steps: dict[AgvId, list[Step]] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -244,10 +245,7 @@ def build_timetable(
             p = _plan(tg, g, agv, held, stages, preset, max(h, last.arrival))
             if p is None:
                 raise NoPathFault(d.id, agv, preset)
-            dep = p.steps[0].end
-            tg.remove_all(
-                Reservation(r, agv, Interval(dep, INF)) for r in sorted(links.linked[held])
-            )
+            tg.remove_all(hold(links, agv, held, p.steps[0].start))
             tg.reserve_all(boundary_reservations(p.steps, links, agv))
             paths[agv].append(p)
 

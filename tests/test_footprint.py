@@ -154,6 +154,14 @@ def test_step_staying_on_one_resource():
     assert canon(boundary_reservations([(v, 0, 5), (v, 5, 9)], links, 2)) == [
         (p, 2, 0, 9) for p in sorted(links.linked[v])
     ]
+    # A step between linked resources that are not neighbours: u and v are
+    # two hops apart, so u's three other edges leave the footprint at tick 5
+    # without lying on u's shell.
+    g = build_grid(6, 10)
+    links = build_adjacency_links(g, 2)
+    u, v = g.coords.index((2, 2)), g.coords.index((3, 2))
+    steps = [(u, 0, 5), (v, 5, 10)]
+    assert canon(boundary_reservations(steps, links, 2)) == canon(naive_reservations(steps, links, 2))
 
 
 def test_boundary_work_scales_with_shell_not_ball():

@@ -125,9 +125,10 @@ def test_subdivided_coords_stay_consistent():
 def test_links_radius1():
     g = grid4()
     links = build_adjacency_links(g, 1)
+    adj = adjacency(g)
     for v in range(g.num_nodes):
         assert links.linked[v] == frozenset(g.incident[v]) | {v}
-        assert links.boundary[v] == links.linked[v] - {v}
+        assert shell(adj, v, 1) == links.linked[v] - {v}
     for i, e in enumerate(g.edges):
         rid = g.num_nodes + i
         assert links.linked[rid] == {rid, e.a, e.b}
@@ -136,9 +137,10 @@ def test_links_radius1():
 def test_links_symmetry_and_boundary_subset():
     g = subdivide(grid4(), 2)
     links = build_adjacency_links(g, 3)
+    adj = adjacency(g)
     for r in range(g.num_resources):
         assert r in links.linked[r]
-        assert links.boundary[r] <= links.linked[r]
+        assert shell(adj, r, 3) <= links.linked[r]
         for q in links.linked[r]:
             assert r in links.linked[q]
 
@@ -151,6 +153,15 @@ def adjacency(g):
     return adj
 
 
+def shell(adj, r, s):
+    """Resources at resource-adjacency distance exactly s from r."""
+    seen = frontier = {r}
+    for _ in range(s):
+        frontier = {q for p in frontier for q in adj[p]} - seen
+        seen = seen | frontier
+    return frontier
+
+
 def test_boundary_exit_property():
     """Stepping to an adjacent resource only ever adds boundary resources."""
     for g, s in ((grid4(), 1), (grid4(), 2), (subdivide(grid4(), 2), 3), (star5(), 2)):
@@ -159,14 +170,13 @@ def test_boundary_exit_property():
         for r in range(g.num_resources):
             for r2 in adj[r]:
                 fresh = links.linked[r2] - links.linked[r] - {r}
-                assert fresh <= links.boundary[r2], (r, r2, fresh)
+                assert fresh <= shell(adj, r2, s), (r, r2, fresh)
 
 
 def test_star_boundary_of_centre_is_all_edges():
     g = subdivide(star5(), 3)
-    links = build_adjacency_links(g, 3)
     centre = 4
-    b = links.boundary[centre]
+    b = shell(adjacency(g), centre, 3)
     assert b and all(not g.is_node(r) for r in b)
     assert len(b) == 4
 

@@ -1,9 +1,11 @@
 """Timetable construction: hand-checked routes, immutability, determinism."""
 
+import dataclasses
 import json
 
 import pytest
 
+from agvtime.footprint import naive_reservations, normalise
 from agvtime.graph import (
     Edge,
     InvalidParameterError,
@@ -12,7 +14,7 @@ from agvtime.graph import (
     build_grid,
     subdivide,
 )
-from agvtime.intervals import INF
+from agvtime.intervals import INF, Interval
 from agvtime.pathing import SourceSpec
 from agvtime.scheduling import (
     PRESETS,
@@ -22,7 +24,8 @@ from agvtime.scheduling import (
     build_timetable,
     metrics,
 )
-from agvtime.timegraph import audit_safety
+from agvtime.scenarios import generate, materialise
+from agvtime.timegraph import Reservation, audit_safety
 
 from oracles import shortest_ticks, snapshot_before, timetable_json
 
@@ -241,3 +244,28 @@ def test_timetable_json_matches_standard_encoder():
     empty = build(g, {}, [])
     assert empty.to_json() == timetable_json(empty)
     assert '"agvs": []' in empty.to_json()
+
+
+def test_committed_state_is_exactly_timeline_footprints():
+    # After every demand's release and commit, each AGV holds on each
+    # resource exactly the footprint of its trimmed timeline: the released
+    # hold and the timeline's cut meet at the same tick.
+    for preset in PRESETS:
+        for seed in range(3):
+            sc = generate(
+                grid=6, agvs=3, demands=6, seed=seed, subdivisions=2, link_radius=3, preset=preset
+            )
+            g, links, placements, demands = materialise(sc)
+            demands = [dataclasses.replace(d, horizon=40 * (d.id % 3)) for d in demands]
+            tt = build_timetable(
+                g, links, placements, demands,
+                preset=preset, stop_pickup=3, stop_dropoff=2, seed=seed,
+            )
+            want = [r for agv, steps in tt.steps.items() for r in naive_reservations(steps, links, agv)]
+            got = [
+                Reservation(rid, agv, Interval(s, e))
+                for rid, tree in enumerate(tt.tg.trees)
+                for s, e, ids in tree.intervals()
+                for agv in ids
+            ]
+            assert normalise(got) == normalise(want), (preset, seed)

@@ -12,6 +12,19 @@ Each search reads an AGV's gaps on a resource once, on first use, from its
 one that straddles it to start there. Every label enters at or after
 ``earliest``, so no move can use a dropped window, and a clipped start changes
 no departure tick and no test that ends a scan.
+
+Labels leave the heap in the order of ``(f, -stage, -entry, node, seq)``,
+where ``f`` is the entry tick plus the guide's bound on the ticks still to go.
+Among equal ``f`` the later stage goes first (a finished route first of all),
+then the deepest label, the one with the latest entry tick. On a plateau of
+equal ``f`` the search so runs down one route instead of across all of them
+(Asai & Fukunaga, "Tie-Breaking Strategies for Cost-Optimal Best First
+Search", JAIR 58, 2017). Both guides are consistent: ``f`` never falls from a
+label to its successors, so the first finished label to leave the heap has the
+least ``f`` of all, and a finished label's ``f`` is its arrival. Tie order
+only picks among paths of equal arrival. Under the zero guide ``f`` is the
+entry tick itself, so ``-entry`` breaks no tie: labels leave in entry order,
+then later stage, then lower node id, then push order.
 """
 
 from __future__ import annotations
@@ -182,7 +195,11 @@ def _search(tg: TimeGraph, sources, stages, guide: GuideFn, earliest: int, allow
     """Best-first scan over gap windows; first finished label is optimal.
 
     ``sources`` is a list of (agv, SourceSpec). Returns the done label, or
-    None when no AGV can finish the route.
+    None when no AGV can finish the route. The heap key is
+    ``(entry + guide, -stage, -entry, node, seq)``: equal-f ties go to the
+    later stage, then the deeper label. A consistent guide keeps the first
+    finished label's arrival minimal under any tie order, and under the zero
+    guide the key is plain entry order (see the module docstring).
     """
     check_stages(stages)
     K = len(stages)
@@ -203,7 +220,7 @@ def _search(tg: TimeGraph, sources, stages, guide: GuideFn, earliest: int, allow
             return
         best[key] = entry
         lab = _Label(agv, node, wstart, wend, entry, stage, parent, via)
-        heappush(heap, (entry + guide(node, stage), entry, -stage, node, next(seq), lab))
+        heappush(heap, (entry + guide(node, stage), -stage, -entry, node, next(seq), lab))
 
     for agv, spec in sources:
         memo = memos[agv] = {}
@@ -264,7 +281,7 @@ def _search(tg: TimeGraph, sources, stages, guide: GuideFn, earliest: int, allow
                         continue
                     best[key] = arr
                     nxt = _Label(agv, dest, ds, de, arr, stage, lab, (erid, dep, arr))
-                    heappush(heap, (arr + guide(dest, stage), arr, -stage, dest, next(seq), nxt))
+                    heappush(heap, (arr + guide(dest, stage), -stage, -arr, dest, next(seq), nxt))
     return None
 
 

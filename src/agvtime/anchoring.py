@@ -4,6 +4,13 @@ Each unparked AGV pins its start footprint for all time; a successful plan
 swaps that pin for the reservations of an actual journey ending in an open
 ended hold on some anchor. An anchor already pinned forever by someone else
 fails the route's final hold, so the target set can simply be every anchor.
+
+Every search is bounded by the exact travel ticks to the nearest anchor,
+built once per call: a first pass ordered by that distance finds the least
+arrival, and the usual zero-ordered pass then drops every label that cannot
+reach an anchor by it. The bound only cuts work; each search returns the
+path, and each run the result, that the unbounded search gives
+(``pathing``'s module docstring has the argument).
 """
 
 from __future__ import annotations
@@ -14,7 +21,14 @@ from dataclasses import dataclass
 from .footprint import boundary_reservations
 from .graph import GeoLinks
 from .intervals import INF, AgvId, Interval
-from .pathing import SourceSpec, Stage, TimePath, multi_source_time_path, time_path
+from .pathing import (
+    SourceSpec,
+    Stage,
+    TimePath,
+    multi_source_time_path,
+    nearest_target_guide,
+    time_path,
+)
 from .timegraph import Reservation, TimeGraph
 
 
@@ -64,6 +78,7 @@ def naive_anchorise(
     """
     g = tg.graph
     stages = [Stage(g.anchors, INF)]
+    bound = nearest_target_guide(g, stages)
     initialise_reservations(tg, links, placements)
     rng = random.Random(seed)
     pending = sorted(placements)
@@ -74,7 +89,7 @@ def naive_anchorise(
         progressed = False
         for agv in list(pending):
             attempts += 1
-            p = time_path(tg, agv, placements[agv], stages)
+            p = time_path(tg, agv, placements[agv], stages, bound=bound)
             if p is None:
                 continue
             _commit(tg, links, agv, p)
@@ -94,6 +109,7 @@ def greedy_anchorise(
     """Race all unparked AGVs at once; the soonest finisher commits each round."""
     g = tg.graph
     stages = [Stage(g.anchors, INF)]
+    bound = nearest_target_guide(g, stages)
     initialise_reservations(tg, links, placements)
     pending = set(placements)
     paths: dict[AgvId, TimePath] = {}
@@ -101,7 +117,7 @@ def greedy_anchorise(
     while pending:
         attempts += 1
         sources = [(a, placements[a]) for a in sorted(pending)]
-        p = multi_source_time_path(tg, sources, stages)
+        p = multi_source_time_path(tg, sources, stages, bound=bound)
         if p is None:
             return AnchorResult(paths, frozenset(pending), attempts)
         _commit(tg, links, p.agv, p)

@@ -108,17 +108,22 @@ RESERVERS_WEIGHT = 12
 EXPANSIONS_PER_SAMPLE = 5
 
 
+def reservers_route(grid, s):
+    """The reservers suite's case at subdivision ``s``: the subdivided grid,
+    its links of radius ``s`` and the corner route across it."""
+    g = subdivide(build_grid(grid, RESERVERS_WEIGHT), s)
+    links = build_adjacency_links(g, s)
+    start = g.coords.index((0, 1 * s))
+    goal = g.coords.index(((grid - 1) * s, (grid - 2) * s))
+    return g, links, corner_route_steps(g, start, goal)
+
+
 def bench_reservers(*, grid=40, subdivisions=(1, 2, 4, 6), reps=20):
     """Best of ``reps`` samples per expansion, naive and boundary samples
     alternating so that drift in machine speed cannot skew their ratio."""
     rows = []
-    base = build_grid(grid, RESERVERS_WEIGHT)
     for s in subdivisions:
-        g = subdivide(base, s)
-        links = build_adjacency_links(g, s)
-        start = g.coords.index((0, 1 * s))
-        goal = g.coords.index(((grid - 1) * s, (grid - 2) * s))
-        steps = corner_route_steps(g, start, goal)
+        g, links, steps = reservers_route(grid, s)
         outputs = {}
         timings = {}
         for _ in range(reps):

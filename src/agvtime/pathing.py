@@ -25,6 +25,25 @@ least ``f`` of all, and a finished label's ``f`` is its arrival. Tie order
 only picks among paths of equal arrival. Under the zero guide ``f`` is the
 entry tick itself, so ``-entry`` breaks no tie: labels leave in entry order,
 then later stage, then lower node id, then push order.
+
+A race may also carry a bound: a consistent guide that never orders the
+search, only cuts it (anchorisation passes the exact distance to the nearest
+anchor). The race then runs twice over one gap memo, so each (resource, AGV)
+gap list is still read once. The first pass, ordered by the bound, finds the
+least arrival f*. The second pass is the usual search, ordered by the usual
+guide, that drops every label whose ``entry + bound`` exceeds f*, and skips a
+move before reading its windows when ``entry + w + bound(dest)`` already does.
+It returns the label the unbounded search would:
+
+- the bound is consistent, so ``entry + bound`` never falls from a label to
+  its children: every label on the returned chain, which ends at f*, is kept,
+  and every descendant of a dropped label is dropped too;
+- labels with one dominance key share their node and stage, so their bound:
+  a label that dominates a kept one enters no later and is kept as well, and
+  each kept label meets the same dominance tests in both searches;
+- so the second pass pops the unbounded search's kept labels in the same
+  order, pushes their kept children in the same order (push order breaks the
+  last ties), and returns the same label with the same parents.
 """
 
 from __future__ import annotations
@@ -154,6 +173,32 @@ def manhattan_guide(g: ResourceGraph, stages) -> GuideFn:
     return h
 
 
+def nearest_target_guide(g: ResourceGraph, stages) -> GuideFn:
+    """Travel ticks to the nearest target of the first stage, and 0 from the
+    second stage on: exact for a one-stage route such as anchorisation's.
+
+    One reverse multi-source Dijkstra over ``g.moves``; a node that reaches
+    no target gets INF. Consistent: 0 on every target, ``h(u) <= w + h(v)``
+    on every move.
+    """
+    into = [[] for _ in range(g.num_nodes)]
+    for u, out in enumerate(g.moves):
+        for _, v, w in out:
+            into[v].append((u, w))
+    dist = [INF] * g.num_nodes
+    heap = [(0, t) for t in sorted(stages[0].targets)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if dist[v] <= d:
+            continue
+        dist[v] = d
+        for u, w in into[v]:
+            if d + w < dist[u]:
+                heapq.heappush(heap, (d + w, u))
+
+    return lambda node, stage: dist[node] if stage == 0 else 0
+
+
 class _Label:
     __slots__ = ("agv", "node", "wstart", "wend", "entry", "stage", "parent", "via")
 
@@ -191,27 +236,32 @@ def _source_label(tg: TimeGraph, memo: dict, agv: AgvId, spec: SourceSpec, earli
     return None
 
 
-def _search(tg: TimeGraph, sources, stages, guide: GuideFn, earliest: int, allowed):
+def _search(
+    tg: TimeGraph, roots, memos, stages, guide: GuideFn, earliest: int, allowed, bound=None, limit=INF
+):
     """Best-first scan over gap windows; first finished label is optimal.
 
-    ``sources`` is a list of (agv, SourceSpec). Returns the done label, or
+    ``roots`` holds each startable AGV's (agv, node, window start, window
+    end, entry, via), and ``memos`` its gap memo. Returns the done label, or
     None when no AGV can finish the route. The heap key is
     ``(entry + guide, -stage, -entry, node, seq)``: equal-f ties go to the
     later stage, then the deeper label. A consistent guide keeps the first
     finished label's arrival minimal under any tie order, and under the zero
-    guide the key is plain entry order (see the module docstring).
+    guide the key is plain entry order (see the module docstring). With a
+    ``bound``, labels whose ``entry + bound`` exceeds ``limit`` are dropped.
     """
-    check_stages(stages)
     K = len(stages)
     moves = tg.graph.moves
     gaps_from = tg.gaps_from
     heappush, heappop = heapq.heappush, heapq.heappop
-    memos = {}  # agv -> {resource: gap windows from earliest}, filled on first read
     heap = []
     seq = itertools.count()
     best = {}
+    bounded = bound is not None  # a plain local: push() closes over bound
 
     def push(agv, node, wstart, wend, entry, stage, parent, via):
+        if bound is not None and entry + bound(node, stage) > limit:
+            return
         # Dominance first: most candidate labels lose to one already queued,
         # so the label is only built once it is known to be kept.
         key = (agv, node, wstart, stage)
@@ -222,14 +272,7 @@ def _search(tg: TimeGraph, sources, stages, guide: GuideFn, earliest: int, allow
         lab = _Label(agv, node, wstart, wend, entry, stage, parent, via)
         heappush(heap, (entry + guide(node, stage), -stage, -entry, node, next(seq), lab))
 
-    for agv, spec in sources:
-        memo = memos[agv] = {}
-        root = _source_label(tg, memo, agv, spec, earliest)
-        if root is None:
-            continue
-        node, ws, we, entry, via = root
-        if allowed is not None and node not in allowed:
-            continue
+    for agv, node, ws, we, entry, via in roots:
         push(agv, node, ws, we, entry, 0, None, via)
 
     while heap:
@@ -250,9 +293,16 @@ def _search(tg: TimeGraph, sources, stages, guide: GuideFn, earliest: int, allow
             elif entry + st.stop <= wend:
                 push(agv, node, lab.wstart, wend, entry + st.stop, stage + 1, lab, None)
         memo = memos[agv]
+        last = wend  # latest departure worth a label; a bound lowers it per move
         for erid, dest, w in moves[node]:
             if allowed is not None and (erid not in allowed or dest not in allowed):
                 continue
+            if bounded:
+                last = limit - w - bound(dest, stage)
+                if last < entry:
+                    continue  # before the windows are read
+                if last > wend:
+                    last = wend
             edge_windows = memo.get(erid)
             if edge_windows is None:
                 edge_windows = memo[erid] = gaps_from(erid, agv, earliest)
@@ -261,18 +311,18 @@ def _search(tg: TimeGraph, sources, stages, guide: GuideFn, earliest: int, allow
                 dest_windows = memo[dest] = gaps_from(dest, agv, earliest)
             reach = entry + w
             for es, ee in edge_windows:
-                if es > wend:
+                if es > last:
                     break
                 if ee < reach or ee - es < w:
                     continue
                 for ds, de in dest_windows:
-                    if ds - w > wend or ds > ee:
+                    if ds - w > last or ds > ee:
                         break
                     if de <= reach:
                         continue
                     dep = max(entry, es, ds - w)
                     arr = dep + w
-                    if dep > wend or arr > ee or arr >= de:
+                    if dep > last or arr > ee or arr >= de:
                         continue
                     # push(), inlined: this is the search's hot path.
                     key = (agv, dest, ds, stage)
@@ -319,10 +369,11 @@ def time_path(
     earliest: int = 0,
     guide: GuideFn | None = None,
     allowed: frozenset[int] | None = None,
+    bound: GuideFn | None = None,
 ) -> TimePath | None:
     """Earliest-arrival path for one AGV through its current reservations."""
     return multi_source_time_path(
-        tg, [(agv, source)], stages, earliest=earliest, guide=guide, allowed=allowed
+        tg, [(agv, source)], stages, earliest=earliest, guide=guide, allowed=allowed, bound=bound
     )
 
 
@@ -334,11 +385,26 @@ def multi_source_time_path(
     earliest: int = 0,
     guide: GuideFn | None = None,
     allowed: frozenset[int] | None = None,
+    bound: GuideFn | None = None,
 ) -> TimePath | None:
-    """Race several AGVs over one route; the soonest finisher's path wins."""
+    """Race several AGVs over one route; the soonest finisher's path wins.
+
+    ``bound``, a consistent guide, only cuts the search: the result is the
+    one the race returns without it (see the module docstring).
+    """
+    check_stages(stages)
     if guide is None:
         guide = zero_guide(tg.graph, stages)
-    done = _search(tg, sources, stages, guide, earliest, allowed)
+    memos = {}  # agv -> {resource: gap windows from earliest}, filled on first read
+    roots = []
+    for agv, spec in sources:
+        memo = memos[agv] = {}
+        root = _source_label(tg, memo, agv, spec, earliest)
+        if root is not None and (allowed is None or root[0] in allowed):
+            roots.append((agv, *root))
+    done = _search(tg, roots, memos, stages, guide if bound is None else bound, earliest, allowed)
+    if bound is not None and done is not None:
+        done = _search(tg, roots, memos, stages, guide, earliest, allowed, bound, done.entry)
     if done is None:
         return None
     return TimePath(done.agv, _emit(done, stages[-1].stop), done.entry)

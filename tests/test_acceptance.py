@@ -8,8 +8,8 @@ import random
 import time
 
 from agvtime.anchoring import greedy_anchorise, naive_anchorise
-from agvtime.bench import bench_reservers
-from agvtime.footprint import boundary_reservations, naive_reservations, normalise
+from agvtime.bench import bench_reservers, reservers_route
+from agvtime.footprint import WorkCounter, boundary_reservations, naive_reservations, normalise
 from agvtime.graph import ResourceGraph, Edge, build_adjacency_links, build_grid, subdivide
 from agvtime.intervals import Interval
 from agvtime.intervals import GapTree
@@ -112,6 +112,21 @@ def test_boundary_speedup_trend_on_corner_route():
         "PASS boundary speedup trend: naive/boundary = "
         + ", ".join(f"{r:.2f}" for r in ratios)
     )
+
+
+def test_boundary_work_trend_on_corner_route():
+    # The same claim as the wall-clock trend above, in resources handled:
+    # naive expansion costs O(nm) per route and the boundary sweep O(n), so
+    # their work ratio rises with every subdivision.
+    ratios = []
+    for s in (1, 2, 4, 6):
+        g, links, steps = reservers_route(40, s)
+        naive, boundary = WorkCounter(), WorkCounter()
+        naive_reservations(steps, links, 1, counter=naive)
+        boundary_reservations(steps, links, 1, counter=boundary)
+        ratios.append(sum(naive.per_step) / sum(boundary.per_step))
+    assert all(b > a for a, b in zip(ratios, ratios[1:])), ratios
+    print("PASS boundary work trend: naive/boundary = " + ", ".join(f"{r:.2f}" for r in ratios))
 
 
 def test_anchorisation_guarantee_100_seeds_per_fleet_size():

@@ -1,5 +1,7 @@
 """Parking runs: both strategies clear small fleets, and deadlock is reported."""
 
+import hashlib
+
 import pytest
 
 from agvtime.anchoring import (
@@ -11,6 +13,7 @@ from agvtime.footprint import normalise
 from agvtime.graph import Edge, ResourceGraph, build_adjacency_links, build_grid
 from agvtime.intervals import INF, Interval
 from agvtime.pathing import SourceSpec
+from agvtime.scenarios import generate, materialise
 from agvtime.timegraph import TimeGraph, audit_safety
 
 
@@ -140,3 +143,21 @@ def test_committed_state_is_exactly_path_footprints():
             return tuple(out)
 
         assert merged(list(cov_want[key])) == merged(list(cov_got[key])), key
+
+
+def test_anchoriser_outputs_are_pinned():
+    # Greedy and naive results on seeded fleets, hashed: who parks where and
+    # when, in how many attempts, and who stalls. The search's bound must
+    # leave every one of them byte-identical.
+    digest = hashlib.sha256()
+    cases = [dict(grid=12, agvs=20, seed=s) for s in range(10)]
+    cases += [dict(grid=8, agvs=12, seed=s, subdivisions=2, link_radius=3) for s in range(5)]
+    for case in cases:
+        g, links, placements, _ = materialise(generate(demands=0, **case))
+        for res in (
+            greedy_anchorise(TimeGraph(g), links, placements),
+            naive_anchorise(TimeGraph(g), links, placements, seed=case["seed"]),
+        ):
+            paths = [(agv, p.steps) for agv, p in sorted(res.paths.items())]
+            digest.update(repr((paths, res.attempts, sorted(res.stalled))).encode())
+    assert digest.hexdigest() == "9ce84db782ffa6ad7f312bda7f787dd2551ded13e6795ccbfd636cd59cc24d38"

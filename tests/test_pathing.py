@@ -11,6 +11,7 @@ from agvtime.graph import (
     InvalidParameterError,
     ResourceGraph,
     build_grid,
+    subdivide,
 )
 from agvtime.intervals import INF, Interval
 from agvtime.pathing import (
@@ -19,13 +20,14 @@ from agvtime.pathing import (
     Step,
     manhattan_guide,
     multi_source_time_path,
+    nearest_target_guide,
     route_corridor,
     time_path,
     zero_guide,
 )
 from agvtime.timegraph import TimeGraph, audit_safety
 
-from oracles import exhaustive_earliest_arrival
+from oracles import exhaustive_earliest_arrival, shortest_ticks
 
 
 def line(weights, anchors=()):
@@ -168,6 +170,29 @@ def test_manhattan_guide_values():
     assert two(m, 1) == 5000 * 4
 
 
+def test_nearest_target_guide_is_exact_and_consistent():
+    # 0 -> 1 -> 2 -> 0 is a directed cycle; 3 reaches anchor 4 only one way
+    # and 5 reaches no anchor at all.
+    directed = ResourceGraph(
+        6,
+        [Edge(0, 1, 3, True), Edge(1, 2, 4, True), Edge(2, 0, 5, True), Edge(2, 3, 2),
+         Edge(3, 4, 7, True), Edge(4, 5, 2, True)],
+        anchors={0, 4},
+    )
+    for g in (build_grid(6, 10), subdivide(build_grid(5, 6), 3), directed):
+        h = nearest_target_guide(g, [Stage(g.anchors, INF)])
+        for u in range(g.num_nodes):
+            ticks = shortest_ticks(g, u)
+            assert h(u, 0) == min((ticks[a] for a in g.anchors if a in ticks), default=INF), u
+            assert h(u, 1) == 0
+        assert all(h(a, 0) == 0 for a in g.anchors)
+        for u, out in enumerate(g.moves):
+            for _, v, w in out:
+                assert h(u, 0) <= w + h(v, 0), (u, v)
+    h = nearest_target_guide(directed, [Stage(directed.anchors, INF)])
+    assert [h(u, 0) for u in range(6)] == [0, 9, 5, 7, 0, INF]
+
+
 def seeded_setup(seed, weight=2):
     rng = random.Random(seed)
     g = build_grid(4, weight)
@@ -240,6 +265,82 @@ def test_zero_guide_order_is_pinned():
     for p in outputs():
         digest.update(repr(None if p is None else (p.agv, p.steps)).encode())
     assert digest.hexdigest() == "d2028825046fffe49f643b9934231860bc035123547e8fcf13487aa28f18d047"
+
+
+def race_result(tg, sources, stages, **kwargs):
+    p = multi_source_time_path(tg, sources, stages, **kwargs)
+    return None if p is None else (p.agv, p.steps, p.arrival)
+
+
+def assert_bound_changes_nothing(tg, sources, stages, bound, **kwargs):
+    free = race_result(tg, sources, stages, **kwargs)
+    assert race_result(tg, sources, stages, bound=bound, **kwargs) == free
+    return free
+
+
+def test_bound_leaves_seeded_searches_unchanged():
+    found = 0
+    for seed in range(40):
+        g, tg, busy, src, stages = seeded_setup(seed)
+        bound = manhattan_guide(g, stages)
+        found += assert_bound_changes_nothing(tg, [(1, SourceSpec(src))], stages, bound) is not None
+    assert found >= 30
+
+
+def test_bound_leaves_multi_source_races_unchanged():
+    # The three test_multi_source_* races; a line carries no coordinates, so
+    # the exact nearest-target guide bounds them.
+    g = line([10, 20])
+    stages = [Stage({1}, 0)]
+    bound = nearest_target_guide(g, stages)
+    sources = [(1, SourceSpec(0)), (2, SourceSpec(2))]
+    assert assert_bound_changes_nothing(TimeGraph(g), sources, stages, bound)[0] == 1
+    tg = TimeGraph(g)
+    tg.reserve(1, 2, Interval(0, 40))
+    assert assert_bound_changes_nothing(tg, sources, stages, bound)[0] == 2
+
+    g = line([10, 10, 10])
+    stages = [Stage({3}, 0)]
+    sources = [(1, SourceSpec(4, elapsed=2)), (2, SourceSpec(6, elapsed=5))]
+    got = assert_bound_changes_nothing(
+        TimeGraph(g), sources, stages, nearest_target_guide(g, stages), earliest=3
+    )
+    assert got[0] == 2 and got[2] == 8
+
+
+def test_bound_leaves_random_races_unchanged():
+    # Small grids with reservations held by bystanders and by the racers
+    # themselves, node and mid-edge sources, later start ticks, one- and
+    # two-stage routes; both bounds, under both orders.
+    found = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        g = build_grid(rng.choice((4, 5)), rng.choice((2, 3)))
+        tg = TimeGraph(g)
+        racers = rng.sample(range(1, 9), rng.randrange(1, 5))
+        for _ in range(rng.randrange(4, 14)):
+            s = rng.randrange(0, 40)
+            owner = rng.choice((9, 9, *racers))
+            tg.reserve(rng.randrange(g.num_resources), owner, Interval(s, s + rng.randrange(1, 15)))
+        sources = []
+        for agv in racers:
+            rid = rng.randrange(g.num_resources)
+            if g.is_node(rid):
+                sources.append((agv, SourceSpec(rid)))
+            else:
+                sources.append((agv, SourceSpec(rid, elapsed=rng.randrange(g.edge_at(rid).weight))))
+        targets = set(rng.sample(range(g.num_nodes), rng.randrange(1, 4)))
+        stages = [Stage(targets, rng.choice((0, 2, INF)))]
+        if rng.random() < 0.3:
+            stages = [Stage(targets, rng.randrange(3)), Stage({rng.randrange(g.num_nodes)}, 0)]
+        earliest = rng.choice((0, 0, rng.randrange(1, 20)))
+        for bound in (nearest_target_guide(g, stages), manhattan_guide(g, stages)):
+            for guide in (None, manhattan_guide(g, stages)):
+                got = assert_bound_changes_nothing(
+                    tg, sources, stages, bound, earliest=earliest, guide=guide
+                )
+                found += got is not None
+    assert found >= 100
 
 
 def test_guided_plateau_runs_deep(monkeypatch):
@@ -363,10 +464,13 @@ def test_search_reads_each_gap_list_once(monkeypatch):
     m = rid_at(g, (2, 3))
     for xy, ivl in (((2, 2), Interval(0, 30)), ((3, 3), Interval(40, 90)), ((1, 2), Interval(10, 25))):
         tg.reserve(rid_at(g, xy), 9, ivl)
-    reads = counted_reads(monkeypatch, tg)
-    p = time_path(tg, 1, SourceSpec(a), [Stage({m}, 5), Stage({b}, 0)], earliest=20)
-    assert p is not None and p.arrival == 85
-    assert reads and max(reads.values()) == 1
+    stages = [Stage({m}, 5), Stage({b}, 0)]
+    # Unbounded, then bounded: both passes of a bounded search share one memo.
+    for bound in (None, manhattan_guide(g, stages)):
+        reads = counted_reads(monkeypatch, tg)
+        p = time_path(tg, 1, SourceSpec(a), stages, earliest=20, bound=bound)
+        assert p is not None and p.arrival == 85
+        assert reads and max(reads.values()) == 1
 
     # A race: AGV 2 holds node 1 itself, AGV 1 may land there only from 40.
     g = line([10, 20])
@@ -374,9 +478,11 @@ def test_search_reads_each_gap_list_once(monkeypatch):
     tg.reserve(1, 2, Interval(0, 40))
     tg.reserve(0, 9, Interval(0, 3))
     tg.reserve(4, 9, Interval(1, 4))
-    reads = counted_reads(monkeypatch, tg)
-    p = multi_source_time_path(tg, [(1, SourceSpec(0)), (2, SourceSpec(2))], [Stage({1}, 0)], earliest=5)
-    assert p.agv == 2 and p.arrival == 25
-    assert p.steps == (Step(2, 5, 5), Step(4, 5, 25), Step(1, 25, 25))
-    assert {agv for _, agv in reads} == {1, 2}
-    assert max(reads.values()) == 1
+    sources, stages = [(1, SourceSpec(0)), (2, SourceSpec(2))], [Stage({1}, 0)]
+    for bound in (None, nearest_target_guide(g, stages)):
+        reads = counted_reads(monkeypatch, tg)
+        p = multi_source_time_path(tg, sources, stages, earliest=5, bound=bound)
+        assert p.agv == 2 and p.arrival == 25
+        assert p.steps == (Step(2, 5, 5), Step(4, 5, 25), Step(1, 25, 25))
+        assert {agv for _, agv in reads} == {1, 2}
+        assert max(reads.values()) == 1

@@ -3,7 +3,11 @@
 Run: python3 demos/01_gap_tree.py
 """
 
-from agvtime.intervals import INF, GapTree, Interval
+from agvtime.intervals import INF, GapTree, fmt_tick
+
+
+def spans(gaps):
+    return [f"[{s}, {fmt_tick(e)})" for s, e in gaps]
 
 
 def show(tree, label):
@@ -15,25 +19,25 @@ def main():
     tree = GapTree()
     show(tree, "empty tree: one infinite free segment")
 
-    tree.insert(1, Interval(10, 30))
-    tree.insert(2, Interval(20, 50))
+    tree.insert(1, 10, 30)
+    tree.insert(2, 20, 50)
     show(tree, "AGV 1 holds [10,30), AGV 2 holds [20,50): the overlap splits")
 
-    tree.insert(1, Interval(30, 35))
+    tree.insert(1, 30, 35)
     show(tree, "AGV 1 extends to [10,35): touching pieces with equal holders fuse")
 
     for agv in (1, 3):
-        gaps = tree.gap_query(agv, Interval(0, 100))
-        print(f"gaps for AGV {agv} in [0,100): {[str(g) for g in gaps]}")
+        gaps = tree.gap_query(agv, 0, 100)
+        print(f"gaps for AGV {agv} in [0,100): {spans(gaps)}")
     print("an AGV's own reservations count as free time for itself\n")
 
-    tree.remove(2, Interval(20, 50))
+    tree.remove(2, 20, 50)
     show(tree, "AGV 2 releases: neighbours with equal holders merge back")
 
-    tree.insert(4, Interval(90, INF))
+    tree.insert(4, 90, INF)
     print(f"holders to infinity: {sorted(tree.holders_to_infinity())}")
-    gaps = tree.gap_query(3, Interval(0, INF))
-    print(f"gaps for AGV 3 to infinity: {[str(g) for g in gaps]}")
+    gaps = tree.gap_query(3, 0, INF)
+    print(f"gaps for AGV 3 to infinity: {spans(gaps)}")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,6 @@ Run: python3 demos/03_time_pathing.py
 """
 
 from agvtime.graph import build_grid
-from agvtime.intervals import Interval
 from agvtime.pathing import (
     SourceSpec,
     Stage,
@@ -33,7 +32,7 @@ def main():
 
     # Park a rival on the middle node for a long stretch.
     middle = g.coords.index((2, 2))
-    tg.reserve(middle, 9, Interval(0, 100))
+    tg.reserve(middle, 9, 0, 100)
     p2 = time_path(tg, 1, SourceSpec(src), [Stage({dst}, 0)])
     print(f"\nmiddle node blocked until 100: arrival now {p2.arrival}")
     used = {s.resource for s in p2.steps}

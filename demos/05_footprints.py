@@ -13,6 +13,7 @@ from agvtime.footprint import (
     normalise,
 )
 from agvtime.graph import build_adjacency_links, build_grid, subdivide
+from agvtime.intervals import fmt_tick
 
 
 def main():
@@ -29,7 +30,7 @@ def main():
     print(f"normalised outputs equal: {normalise(naive) == normalise(fast)}")
     print("sample of the merged coverage:")
     for r in normalise(fast)[:6]:
-        print(f"  {g.describe(r.resource):>4} {r.ivl}")
+        print(f"  {g.describe(r.resource):>4} [{r.start}, {fmt_tick(r.end)})")
 
     print("\ncorner-to-corner route on a 40x40 grid, subdivision 4, radius 4:")
     big = subdivide(build_grid(40, 12), 4)

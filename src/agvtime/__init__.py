@@ -1,6 +1,6 @@
 """Conflict-free AGV fleet routing on reservation timelines.
 
-The pieces, bottom up: interval timelines with gap queries (`intervals`),
+The pieces, bottom up: reservation trees with gap queries (`intervals`),
 layout graphs with geographic link families (`graph`), per-resource
 reservation state (`timegraph`), earliest-arrival routing through reservation
 gaps (`pathing`), footprint expansion (`footprint`), fleet parking
@@ -29,7 +29,7 @@ from .graph import (
     subdivide,
     validate,
 )
-from .intervals import INF, AgvId, GapTree, Interval
+from .intervals import INF, AgvId, GapTree
 from .pathing import (
     SourceSpec,
     Stage,
@@ -65,7 +65,6 @@ __all__ = [
     "GapTree",
     "GeoLinks",
     "INF",
-    "Interval",
     "InvalidParameterError",
     "NoPathFault",
     "PRESETS",

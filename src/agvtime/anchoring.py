@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .footprint import boundary_reservations
 from .graph import GeoLinks
-from .intervals import INF, AgvId, Interval
+from .intervals import INF, AgvId
 from .pathing import (
     SourceSpec,
     Stage,
@@ -47,7 +47,7 @@ def hold(links: GeoLinks, agv: AgvId, rid: int, since) -> list[Reservation]:
     """agv's open ended hold on rid and its linked surroundings from ``since``:
     a start pin from tick 0, and what a path starting on rid at ``since``
     releases, its own footprint taking over from there."""
-    return [Reservation(r, agv, Interval(since, INF)) for r in sorted(links.linked[rid])]
+    return [Reservation(r, agv, since, INF) for r in sorted(links.linked[rid])]
 
 
 def initialise_reservations(

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .bench import CSV_HEADER, SUITES, csv_row
 from .graph import InvalidParameterError
-from .intervals import Interval, parse_tick
+from .intervals import fmt_tick, parse_tick
 from .scenarios import Scenario, from_json, generate, materialise, to_json, validate_scenario
 from .scheduling import (
     ANCHORISERS,
@@ -110,21 +110,26 @@ def _load_scenario(knobs: dict) -> Scenario:
 
 
 def _parse_inject(g, text: str):
-    """(resource id, agv, Interval) from RESOURCE,AGV,START,END; raises
-    InvalidParameterError on anything that is not on ``g``."""
+    """(resource id, agv, start, end) from RESOURCE,AGV,START,END; raises
+    InvalidParameterError on anything that is not on ``g`` or is not a
+    non-empty span [START, END) from a finite tick >= 0."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
         raise InvalidParameterError("--inject wants RESOURCE,AGV,START,END")
     raw, agv, start, end = parts
     try:
         rid = g.resource_id(raw) if raw[:1] in ("n", "e") else int(raw)
-        interval = Interval(parse_tick(start), parse_tick(end))
+        start, end = parse_tick(start), parse_tick(end)
         agv = int(agv)
     except ValueError as err:
         raise InvalidParameterError(f"--inject {text}: {err}") from err
+    if not 0 <= start < end:  # an inf START fails here too
+        raise InvalidParameterError(
+            f"--inject {text}: wants 0 <= START < END, got [{fmt_tick(start)}, {fmt_tick(end)})"
+        )
     if not 0 <= rid < g.num_resources:
         raise InvalidParameterError(f"--inject resource {raw!r} is not on the graph")
-    return rid, agv, interval
+    return rid, agv, start, end
 
 
 def _scenario_tag(sc: Scenario) -> str:

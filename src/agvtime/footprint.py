@@ -11,7 +11,9 @@ both differences lie in the boundary shells, so per-step work scales with
 the shell size instead of the whole linked set. A run of zero-length steps
 fuses with the step after it into one transition, the difference of the
 balls at its two ends. Both expansions produce the same coverage;
-``normalise`` puts either output into the canonical merged form.
+``normalise`` puts either output into the canonical merged form. Both emit
+the same flat ``Reservation`` tuple, so neither pays more per item than the
+other and their timings compare the algorithms.
 
 A link set includes its resource: a resource is always part of its own
 footprint, so base occupations come out of the expansion too.
@@ -20,7 +22,7 @@ footprint, so base occupations come out of the expansion too.
 from dataclasses import dataclass, field
 
 from .graph import GeoLinks
-from .intervals import AgvId, Interval
+from .intervals import AgvId
 from .timegraph import Reservation
 
 
@@ -65,14 +67,12 @@ def naive_reservations(steps, links: GeoLinks, agv: AgvId, counter: WorkCounter 
     out = []
     append = out.append
     linked = links.linked
-    ivl_of = Interval
     res_of = Reservation
     for rid, start, end in _checked_steps(steps):
         if start == end:
             continue
-        ivl = ivl_of(start, end)
         for p in linked[rid]:
-            append(res_of(p, agv, ivl))
+            append(res_of(p, agv, start, end))
         if counter is not None:
             counter.note(len(linked[rid]))
     return out
@@ -121,7 +121,6 @@ def boundary_reservations(steps, links: GeoLinks, agv: AgvId, counter: WorkCount
     out = []
     append = out.append
     trans = links.transitions
-    ivl_of = Interval
     res_of = Reservation
 
     # Every open interval shares the same right end (the current step's
@@ -148,7 +147,7 @@ def boundary_reservations(steps, links: GeoLinks, agv: AgvId, counter: WorkCount
         for p in exits:
             s2 = pop(p)
             if s2 != v_end:
-                append(res_of(p, agv, ivl_of(s2, v_end)))
+                append(res_of(p, agv, s2, v_end))
         for b in entries:
             open_start[b] = s1
         prev = rid
@@ -157,15 +156,15 @@ def boundary_reservations(steps, links: GeoLinks, agv: AgvId, counter: WorkCount
             counter.note(len(exits) + len(entries) + 2)
     for p, s in open_start.items():
         if s != v_end:
-            append(res_of(p, agv, ivl_of(s, v_end)))
+            append(res_of(p, agv, s, v_end))
     return out
 
 
 def normalise(reservations):
     """Canonical form: per (resource, agv), sorted maximal merged intervals."""
     by_key = {}
-    for r in reservations:
-        by_key.setdefault((r.resource, r.agv), []).append((r.ivl.start, r.ivl.end))
+    for rid, agv, s, e in reservations:
+        by_key.setdefault((rid, agv), []).append((s, e))
     out = []
     for (rid, agv) in sorted(by_key):
         spans = sorted(by_key[(rid, agv)])
@@ -176,5 +175,5 @@ def normalise(reservations):
             else:
                 merged.append([s, e])
         for s, e in merged:
-            out.append(Reservation(rid, agv, Interval(s, e)))
+            out.append(Reservation(rid, agv, s, e))
     return out

@@ -1,9 +1,11 @@
-"""Half-open time intervals and per-resource reservation trees with gap queries.
+"""Per-resource reservation trees with gap queries over half-open tick spans.
 
 Time is measured in unsigned integer ticks. A single distinguished value INF
-(positive infinity) marks reservations that never expire; every interval start
-is finite. Intervals are half-open, so [3, 7) and [7, 9) touch but do not
-overlap.
+(positive infinity) marks reservations that never expire; every span start
+is finite. A span is a plain ``start, end`` pair of ticks with start < end,
+half-open, so [3, 7) and [7, 9) touch but do not overlap. Spans are not
+validated here: the planner builds them from checked paths, and the command
+line checks the one span it reads from outside.
 
 A GapTree holds the reservations of one resource as a sorted sequence of
 disjoint intervals, each tagged with the non-empty set of AGV ids holding it.
@@ -30,41 +32,6 @@ def fmt_tick(t) -> str:
 
 def parse_tick(s: str):
     return INF if s == "inf" else int(s)
-
-
-class Interval:
-    """Half-open tick interval [start, end). start is finite, start < end.
-
-    Value semantics: equality and hashing go by (start, end). Instances are
-    treated as immutable. Hand-rolled rather than a dataclass because
-    footprint expansion builds one per emitted reservation and the audit one
-    per claim and gap; route search reads gaps as plain tuples.
-    """
-
-    __slots__ = ("start", "end")
-
-    def __init__(self, start, end):
-        if 0 <= start < end:
-            self.start = start
-            self.end = end
-            return
-        if start < 0 or not is_finite(start):
-            raise ValueError(f"interval start must be a finite tick >= 0, got {start}")
-        raise ValueError(f"empty or inverted interval [{start}, {end})")
-
-    def __eq__(self, other):
-        if other.__class__ is Interval:
-            return self.start == other.start and self.end == other.end
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.start, self.end))
-
-    def __repr__(self):
-        return f"Interval(start={self.start!r}, end={self.end!r})"
-
-    def __str__(self):
-        return f"[{self.start}, {fmt_tick(self.end)})"
 
 
 class GapTree:
@@ -148,12 +115,12 @@ class GapTree:
         idsets[lo:hi] = new_ids
         self.version += 1
 
-    def insert(self, agv: AgvId, ivl: Interval) -> None:
-        """Reserve ivl for agv, splitting partial overlaps and merging equals.
+    def insert(self, agv: AgvId, start, end) -> None:
+        """Reserve [start, end) for agv, splitting partial overlaps and
+        merging equals.
 
         Re-inserting over the AGV's own reservations is idempotent.
         """
-        start, end = ivl.start, ivl.end
         lo, hi, stored = self._affected(start, end)
         self.last_touched = hi - lo
         own = frozenset((agv,))
@@ -174,9 +141,9 @@ class GapTree:
             pieces.append((cur, end, own))
         self._splice(lo, hi, pieces)
 
-    def remove(self, agv: AgvId, ivl: Interval) -> None:
-        """Release agv's hold over ivl. Intervals left with no holder vanish."""
-        start, end = ivl.start, ivl.end
+    def remove(self, agv: AgvId, start, end) -> None:
+        """Release agv's hold over [start, end). Intervals left with no
+        holder vanish."""
         lo, hi, stored = self._affected(start, end)
         self.last_touched = hi - lo
         pieces = []
@@ -190,21 +157,21 @@ class GapTree:
                 pieces.append((end, ke, ids))
         self._splice(lo, hi, pieces)
 
-    def gap_query(self, agv: AgvId, window: Interval) -> list[Interval]:
-        """Maximal free windows for agv within ``window``, sorted.
+    def gap_query(self, agv: AgvId, start, end) -> list[tuple]:
+        """Maximal free (start, end) windows for agv within [start, end),
+        sorted.
 
         A tick is free when unreserved or reserved only by ``agv`` itself.
         Touching free stretches come back merged.
         """
-        start, end = window.start, window.end
         lo, hi, stored = self._affected(start, end)
         self.last_touched = hi - lo
-        return [Interval(s, e) for s, e in _free(agv, start, end, stored)]
+        return _free(agv, start, end, stored)
 
     def gaps_from(self, agv: AgvId, since) -> tuple:
-        """``gap_query(agv, Interval(since, INF))`` as a tuple of (start, end)
-        tuples, built on every call from the stored intervals that end after
-        ``since``. A gap that straddles ``since`` comes back starting there.
+        """``gap_query(agv, since, INF)`` as a tuple, built on every call from
+        the stored intervals that end after ``since``. A gap that straddles
+        ``since`` comes back starting there.
         """
         ends = self._ends
         if not ends:

@@ -1,5 +1,9 @@
 """Reservations across a whole graph: one gap tree per resource.
 
+A ``Reservation`` is one flat tuple ``(resource, agv, start, end)``: both
+footprint expansions and the anchor holds build it, and ``reserve_all``
+unpacks it straight into the resource's tree.
+
 The audit re-derives safety from scratch: every occupation an AGV claims must
 come back as a single covering gap when that AGV queries the resource, which
 is exactly the condition its path search relied on. Footprint overlaps
@@ -8,28 +12,39 @@ base occupation is a conflict.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import ResourceGraph
-from .intervals import AgvId, GapTree, Interval
+from .intervals import AgvId, GapTree, fmt_tick
 
 
-@dataclass(frozen=True, slots=True)
-class Reservation:
+class Reservation(NamedTuple):
+    """agv's hold on resource over the ticks [start, end)."""
+
     resource: int
     agv: AgvId
-    ivl: Interval
+    start: int
+    end: float
+
+    @property
+    def ivl(self):
+        # perfbench/check.py reads r.ivl.start and r.ivl.end; goes with
+        # ROADMAP item 0, once the checker reads start and end.
+        return self
 
 
 @dataclass(frozen=True, slots=True)
 class SafetyViolation:
     resource: int
     agv: AgvId
-    ivl: Interval
+    start: int
+    end: float
     others: frozenset[AgvId]
 
     def __str__(self):
         who = ",".join(str(a) for a in sorted(self.others))
-        return f"agv {self.agv} occupation {self.ivl} on resource {self.resource} conflicts with agv(s) {who}"
+        span = f"[{self.start}, {fmt_tick(self.end)})"
+        return f"agv {self.agv} occupation {span} on resource {self.resource} conflicts with agv(s) {who}"
 
 
 class TimeGraph:
@@ -39,19 +54,19 @@ class TimeGraph:
         self.graph = g
         self.trees = [GapTree() for _ in range(g.num_resources)]
 
-    def reserve(self, resource: int, agv: AgvId, ivl: Interval) -> None:
-        self.trees[resource].insert(agv, ivl)
+    def reserve(self, resource: int, agv: AgvId, start, end) -> None:
+        self.trees[resource].insert(agv, start, end)
 
     def reserve_all(self, reservations) -> None:
-        for r in reservations:
-            self.trees[r.resource].insert(r.agv, r.ivl)
+        for rid, agv, start, end in reservations:
+            self.trees[rid].insert(agv, start, end)
 
     def remove_all(self, reservations) -> None:
-        for r in reservations:
-            self.trees[r.resource].remove(r.agv, r.ivl)
+        for rid, agv, start, end in reservations:
+            self.trees[rid].remove(agv, start, end)
 
-    def gap_query(self, resource: int, agv: AgvId, window: Interval):
-        return self.trees[resource].gap_query(agv, window)
+    def gap_query(self, resource: int, agv: AgvId, start, end):
+        return self.trees[resource].gap_query(agv, start, end)
 
     def gaps_from(self, resource: int, agv: AgvId, since):
         """agv's gaps on resource over [since, INF) as (start, end) tuples,
@@ -75,17 +90,17 @@ def audit_safety(tg: TimeGraph, occupations) -> SafetyViolation | None:
 
     ``occupations`` yields (agv, resource, start, end) claims. Zero-length
     claims are vacuous. A claim is safe when the AGV's own gap query on that
-    resource returns the claim itself: the gaps are clipped to the claim.
+    resource returns the claim itself: the gaps are clipped to the claim. An
+    inverted claim gets no gaps back, so it is reported, never passed.
     """
     for agv, rid, start, end in occupations:
         if start == end:
             continue
-        ivl = Interval(start, end)
-        if tg.gap_query(rid, agv, ivl) == [ivl]:
+        if tg.gap_query(rid, agv, start, end) == [(start, end)]:
             continue
         others = set()
         for s, e, ids in tg.trees[rid].intervals():
-            if s < ivl.end and ivl.start < e:
+            if s < end and start < e:
                 others |= ids - {agv}
-        return SafetyViolation(rid, agv, ivl, frozenset(others))
+        return SafetyViolation(rid, agv, start, end, frozenset(others))
     return None

@@ -13,7 +13,7 @@ import heapq
 import io
 import json
 
-from agvtime.intervals import INF, Interval, fmt_tick
+from agvtime.intervals import INF, fmt_tick
 
 
 class TimelineOracle:
@@ -23,22 +23,22 @@ class TimelineOracle:
         self.horizon = horizon
         self.ticks = [set() for _ in range(horizon)]
 
-    def insert(self, agv, ivl: Interval):
-        end = self.horizon if ivl.end == INF else min(ivl.end, self.horizon)
-        for t in range(ivl.start, end):
+    def insert(self, agv, start, end):
+        end = self.horizon if end == INF else min(end, self.horizon)
+        for t in range(start, end):
             self.ticks[t].add(agv)
 
-    def remove(self, agv, ivl: Interval):
-        end = self.horizon if ivl.end == INF else min(ivl.end, self.horizon)
-        for t in range(ivl.start, end):
+    def remove(self, agv, start, end):
+        end = self.horizon if end == INF else min(end, self.horizon)
+        for t in range(start, end):
             self.ticks[t].discard(agv)
 
-    def gaps(self, agv, window: Interval):
-        """Maximal runs of ticks free for agv inside the window."""
-        end = self.horizon if window.end == INF else min(window.end, self.horizon)
+    def gaps(self, agv, start, end):
+        """Maximal runs of ticks free for agv inside [start, end)."""
+        end = self.horizon if end == INF else min(end, self.horizon)
         out = []
         run_start = None
-        for t in range(window.start, end):
+        for t in range(start, end):
             free = not self.ticks[t] or self.ticks[t] == {agv}
             if free and run_start is None:
                 run_start = t

@@ -11,7 +11,6 @@ from agvtime.anchoring import greedy_anchorise, naive_anchorise
 from agvtime.bench import bench_reservers, reservers_route
 from agvtime.footprint import WorkCounter, boundary_reservations, naive_reservations, normalise
 from agvtime.graph import ResourceGraph, Edge, build_adjacency_links, build_grid, subdivide
-from agvtime.intervals import Interval
 from agvtime.intervals import GapTree
 from agvtime.pathing import SourceSpec, Stage, manhattan_guide, time_path, zero_guide
 from agvtime.scenarios import generate, materialise
@@ -22,7 +21,7 @@ from oracles import TimelineOracle, exhaustive_earliest_arrival
 
 
 def canon(rs):
-    return [(r.resource, r.agv, r.ivl.start, r.ivl.end) for r in normalise(rs)]
+    return [tuple(r) for r in normalise(rs)]
 
 
 def assert_clean(tt):
@@ -40,16 +39,14 @@ def test_gap_tree_matches_tick_oracle_over_10k_ops():
         agv = rng.randrange(8)
         a = rng.randrange(horizon - 1)
         b = rng.randrange(a + 1, horizon + 1)
-        w = Interval(a, b)
         if kind == "insert":
-            tree.insert(agv, w)
-            oracle.insert(agv, w)
+            tree.insert(agv, a, b)
+            oracle.insert(agv, a, b)
         elif kind == "remove":
-            tree.remove(agv, w)
-            oracle.remove(agv, w)
+            tree.remove(agv, a, b)
+            oracle.remove(agv, a, b)
         else:
-            got = [(g.start, g.end) for g in tree.gap_query(agv, w)]
-            assert got == oracle.gaps(agv, w)
+            assert tree.gap_query(agv, a, b) == oracle.gaps(agv, a, b)
         tree.check_invariants()
     assert [(s, e, ids) for s, e, ids in tree.intervals()] == oracle.segments()
     elapsed = time.perf_counter() - t0
@@ -182,7 +179,7 @@ def test_full_presets_match_exhaustive_oracle_on_tiny_graphs():
             rid = rng.randrange(g.num_resources)
             s = rng.randrange(1, 40)
             e = s + rng.randrange(1, 10)
-            tg.reserve(rid, 9, Interval(s, e))
+            tg.reserve(rid, 9, s, e)
             busy.setdefault(rid, set()).update(range(s, e))
         stages = [
             Stage({rng.randrange(g.num_nodes)}, rng.randrange(0, 3))

@@ -11,7 +11,7 @@ from agvtime.anchoring import (
 )
 from agvtime.footprint import normalise
 from agvtime.graph import Edge, ResourceGraph, build_adjacency_links, build_grid
-from agvtime.intervals import INF, Interval
+from agvtime.intervals import INF
 from agvtime.pathing import SourceSpec
 from agvtime.scenarios import generate, materialise
 from agvtime.timegraph import TimeGraph, audit_safety
@@ -113,7 +113,7 @@ def test_committed_state_is_exactly_path_footprints():
     expect = []
     for agv, p in res.paths.items():
         expect.extend(boundary_reservations(p.steps, links, agv))
-    want = {(r.resource, r.agv, r.ivl.start, r.ivl.end) for r in normalise(expect)}
+    want = set(normalise(expect))
     got = set()
     for rid, tree in enumerate(tg.trees):
         for s, e, ids in tree.intervals():

@@ -12,12 +12,12 @@ from agvtime.footprint import (
     normalise,
 )
 from agvtime.graph import build_adjacency_links, build_grid, subdivide
-from agvtime.intervals import INF, Interval
+from agvtime.intervals import INF
 from agvtime.timegraph import Reservation
 
 
 def canon(rs):
-    return [(r.resource, r.agv, r.ivl.start, r.ivl.end) for r in normalise(rs)]
+    return [tuple(r) for r in normalise(rs)]
 
 
 def linked_graph(s=1, n=4, weight=600, subdiv=1):
@@ -29,7 +29,7 @@ def test_naive_single_step():
     g, links = linked_graph()
     v = sorted(set(range(g.num_nodes)) - g.anchors)[0]
     rs = naive_reservations([(v, 0, 10)], links, agv=1)
-    got = {(r.resource, r.ivl.start, r.ivl.end) for r in rs}
+    got = {(r.resource, r.start, r.end) for r in rs}
     assert (v, 0, 10) in got
     assert got == {(p, 0, 10) for p in links.linked[v] | {v}}
 
@@ -52,11 +52,11 @@ def test_non_contiguous_path_faults():
 
 def test_normalise_merges_and_sorts():
     rs = [
-        Reservation(3, 1, Interval(10, 20)),
-        Reservation(3, 1, Interval(0, 10)),
-        Reservation(3, 1, Interval(30, 40)),
-        Reservation(2, 1, Interval(5, 15)),
-        Reservation(3, 2, Interval(0, 50)),
+        Reservation(3, 1, 10, 20),
+        Reservation(3, 1, 0, 10),
+        Reservation(3, 1, 30, 40),
+        Reservation(2, 1, 5, 15),
+        Reservation(3, 2, 0, 50),
     ]
     out = canon(rs)
     assert out == [
@@ -118,11 +118,9 @@ def test_boundary_output_already_merged():
         rng = random.Random(seed)
         g, links = linked_graph(s=2, n=5, weight=10, subdiv=2)
         fast = boundary_reservations(walk_steps(g, rng, zero_edges=zero_edges), links, 7)
-        assert canon(fast) == [
-            (r.resource, r.agv, r.ivl.start, r.ivl.end) for r in sorted(
-                fast, key=lambda r: (r.resource, r.ivl.start)
-            )
-        ], f"seed {seed}, zero_edges {zero_edges}"
+        assert canon(fast) == sorted(fast, key=lambda r: (r.resource, r.start)), (
+            f"seed {seed}, zero_edges {zero_edges}"
+        )
 
 
 def test_infinite_final_step():
@@ -133,7 +131,7 @@ def test_infinite_final_step():
     naive = naive_reservations(steps, links, 0)
     fast = boundary_reservations(steps, links, 0)
     assert canon(fast) == canon(naive)
-    ends = {r.ivl.end for r in fast if r.resource == u}
+    ends = {r.end for r in fast if r.resource == u}
     assert INF in ends
 
 

@@ -13,7 +13,7 @@ from agvtime.graph import (
     build_grid,
     subdivide,
 )
-from agvtime.intervals import INF, Interval
+from agvtime.intervals import INF
 from agvtime.pathing import (
     SourceSpec,
     Stage,
@@ -44,7 +44,7 @@ def test_free_corridor_direct():
 
 def test_waits_until_destination_frees():
     tg = TimeGraph(line([1000]))
-    tg.reserve(1, 9, Interval(1000, 5000))
+    tg.reserve(1, 9, 1000, 5000)
     p = time_path(tg, 1, SourceSpec(0), [Stage({1}, 0)])
     assert p.arrival == 5000
     assert Step(0, 0, 4000) in p.steps
@@ -53,7 +53,7 @@ def test_waits_until_destination_frees():
 
 def test_arrival_tick_strictly_inside_window():
     tg = TimeGraph(line([1000]))
-    tg.reserve(1, 9, Interval(1000, 2000))
+    tg.reserve(1, 9, 1000, 2000)
     p = time_path(tg, 1, SourceSpec(0), [Stage({1}, 0)])
     # landing exactly at the window end 1000 is not a free arrival tick
     assert p.arrival == 2000
@@ -61,8 +61,8 @@ def test_arrival_tick_strictly_inside_window():
 
 def test_departure_may_touch_own_window_end():
     tg = TimeGraph(line([1000]))
-    tg.reserve(2, 9, Interval(0, 1000))
-    tg.reserve(0, 9, Interval(1000, 2000))
+    tg.reserve(2, 9, 0, 1000)
+    tg.reserve(0, 9, 1000, 2000)
     p = time_path(tg, 1, SourceSpec(0), [Stage({1}, 0)])
     assert p.arrival == 2000
     assert Step(0, 0, 1000) in p.steps
@@ -71,7 +71,7 @@ def test_departure_may_touch_own_window_end():
 def test_window_trap_forces_later_departure():
     g = line([10, 10])
     tg = TimeGraph(g)
-    tg.reserve(1, 9, Interval(12, 30))
+    tg.reserve(1, 9, 12, 30)
     stages = [Stage({1}, 5), Stage({2}, 0)]
     p = time_path(tg, 1, SourceSpec(0), stages)
     # reaching the middle at 10 is a trap: its window closes at 12, too soon
@@ -89,7 +89,7 @@ def test_window_trap_forces_later_departure():
 def test_completion_on_window_boundary_departs_at_once():
     g = line([10, 10])
     tg = TimeGraph(g)
-    tg.reserve(1, 9, Interval(15, 40))
+    tg.reserve(1, 9, 15, 40)
     p = time_path(tg, 1, SourceSpec(0), [Stage({1}, 5), Stage({2}, 0)])
     assert p.arrival == 25
     assert Step(1, 10, 15) in p.steps
@@ -116,12 +116,12 @@ def test_edge_source_blocked_mid_crossing():
     source, stages = SourceSpec(2, elapsed=400), [Stage({1}, 0)]
     for hold in ((300, 310), (50, 101), (699, 800), (0, INF)):
         tg = TimeGraph(line([1000]))
-        tg.reserve(2, 9, Interval(*hold))
+        tg.reserve(2, 9, *hold)
         assert time_path(tg, 1, source, stages, earliest=100) is None, hold
     # holds that end at earliest or start at tau leave the crossing free
     tg = TimeGraph(line([1000]))
-    tg.reserve(2, 9, Interval(0, 100))
-    tg.reserve(2, 9, Interval(700, 900))
+    tg.reserve(2, 9, 0, 100)
+    tg.reserve(2, 9, 700, 900)
     p = time_path(tg, 1, source, stages, earliest=100)
     assert p.steps[0] == Step(2, 100, 700)
     assert p.arrival == 700
@@ -129,11 +129,11 @@ def test_edge_source_blocked_mid_crossing():
 
 def test_infinite_hold_needs_window_open_to_infinity():
     tg = TimeGraph(line([1000]))
-    tg.reserve(1, 9, Interval(5000, INF))
+    tg.reserve(1, 9, 5000, INF)
     assert time_path(tg, 1, SourceSpec(0), [Stage({1}, INF)]) is None
 
     tg = TimeGraph(line([1000]))
-    tg.reserve(1, 9, Interval(5000, 9000))
+    tg.reserve(1, 9, 5000, 9000)
     p = time_path(tg, 1, SourceSpec(0), [Stage({1}, INF)])
     assert p.arrival == 9000
     assert p.steps[-1] == Step(1, 9000, INF)
@@ -205,7 +205,7 @@ def seeded_setup(seed, weight=2):
         e = s + rng.randrange(1, 13)
         if rid == src and s <= 0:
             continue
-        tg.reserve(rid, 9, Interval(s, e))
+        tg.reserve(rid, 9, s, e)
         busy.setdefault(rid, set()).update(range(s, e))
     n_stages = rng.randrange(1, 3)
     stages = []
@@ -255,7 +255,7 @@ def test_zero_guide_order_is_pinned():
         sources = [(1, SourceSpec(0)), (2, SourceSpec(2))]
         yield multi_source_time_path(TimeGraph(g), sources, [Stage({1}, 0)])
         tg = TimeGraph(g)
-        tg.reserve(1, 2, Interval(0, 40))
+        tg.reserve(1, 2, 0, 40)
         yield multi_source_time_path(tg, sources, [Stage({1}, 0)])
         sources = [(1, SourceSpec(4, elapsed=2)), (2, SourceSpec(6, elapsed=5))]
         tg = TimeGraph(line([10, 10, 10]))
@@ -296,7 +296,7 @@ def test_bound_leaves_multi_source_races_unchanged():
     sources = [(1, SourceSpec(0)), (2, SourceSpec(2))]
     assert assert_bound_changes_nothing(TimeGraph(g), sources, stages, bound)[0] == 1
     tg = TimeGraph(g)
-    tg.reserve(1, 2, Interval(0, 40))
+    tg.reserve(1, 2, 0, 40)
     assert assert_bound_changes_nothing(tg, sources, stages, bound)[0] == 2
 
     g = line([10, 10, 10])
@@ -321,7 +321,7 @@ def test_bound_leaves_random_races_unchanged():
         for _ in range(rng.randrange(4, 14)):
             s = rng.randrange(0, 40)
             owner = rng.choice((9, 9, *racers))
-            tg.reserve(rng.randrange(g.num_resources), owner, Interval(s, s + rng.randrange(1, 15)))
+            tg.reserve(rng.randrange(g.num_resources), owner, s, s + rng.randrange(1, 15))
         sources = []
         for agv in racers:
             rid = rng.randrange(g.num_resources)
@@ -393,7 +393,7 @@ def test_multi_source_soonest_finisher_wins():
     assert p.agv == 1 and p.arrival == 10
 
     tg = TimeGraph(g)
-    tg.reserve(1, 2, Interval(0, 40))
+    tg.reserve(1, 2, 0, 40)
     p = multi_source_time_path(tg, sources, [Stage({1}, 0)])
     assert p.agv == 2 and p.arrival == 20
 
@@ -425,7 +425,7 @@ def test_matches_exhaustive_search_from_later_tick():
             (rng.choice([src, *near]), earliest - 3, earliest),
             (rng.choice(near), earliest - 2, earliest + 4),
         ):
-            tg.reserve(rid, 9, Interval(s, e))
+            tg.reserve(rid, 9, s, e)
             busy.setdefault(rid, set()).update(range(s, e))
         want = exhaustive_earliest_arrival(
             g, busy, 1, src, earliest, [(st.targets, st.stop) for st in stages], horizon=250
@@ -462,8 +462,8 @@ def test_search_reads_each_gap_list_once(monkeypatch):
     a = rid_at(g, (1, 1))
     b = rid_at(g, (4, 4))
     m = rid_at(g, (2, 3))
-    for xy, ivl in (((2, 2), Interval(0, 30)), ((3, 3), Interval(40, 90)), ((1, 2), Interval(10, 25))):
-        tg.reserve(rid_at(g, xy), 9, ivl)
+    for xy, span in (((2, 2), (0, 30)), ((3, 3), (40, 90)), ((1, 2), (10, 25))):
+        tg.reserve(rid_at(g, xy), 9, *span)
     stages = [Stage({m}, 5), Stage({b}, 0)]
     # Unbounded, then bounded: both passes of a bounded search share one memo.
     for bound in (None, manhattan_guide(g, stages)):
@@ -475,9 +475,9 @@ def test_search_reads_each_gap_list_once(monkeypatch):
     # A race: AGV 2 holds node 1 itself, AGV 1 may land there only from 40.
     g = line([10, 20])
     tg = TimeGraph(g)
-    tg.reserve(1, 2, Interval(0, 40))
-    tg.reserve(0, 9, Interval(0, 3))
-    tg.reserve(4, 9, Interval(1, 4))
+    tg.reserve(1, 2, 0, 40)
+    tg.reserve(0, 9, 0, 3)
+    tg.reserve(4, 9, 1, 4)
     sources, stages = [(1, SourceSpec(0)), (2, SourceSpec(2))], [Stage({1}, 0)]
     for bound in (None, nearest_target_guide(g, stages)):
         reads = counted_reads(monkeypatch, tg)

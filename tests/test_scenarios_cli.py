@@ -13,7 +13,13 @@ import pytest
 
 from agvtime.anchoring import greedy_anchorise, naive_anchorise
 from agvtime.cli import EXIT_AUDIT, EXIT_FAULT, EXIT_INVALID, EXIT_OK, main
-from agvtime.graph import InvalidParameterError, build_adjacency_links, build_grid, subdivide
+from agvtime.graph import (
+    InvalidParameterError,
+    build_adjacency_links,
+    build_grid,
+    spatial_path,
+    subdivide,
+)
 from agvtime.scenarios import (
     Scenario,
     from_json,
@@ -257,6 +263,16 @@ def test_cli_injected_conflict_fails_audit(tmp_path, capsys):
     assert code == EXIT_AUDIT
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "audit"
+    # The audit names the holder's first claim on that resource, which AGV
+    # 99's injected hold now crosses.
+    g = materialise(from_json(Path(scenario).read_text()))[0]
+    holder = doc["agvs"][0]
+    rid = g.resource_id(final["resource"])
+    t = min(s["start"] for s in holder["steps"]
+            if s["resource"] == final["resource"] and s["start"] != s["end"])
+    assert err["detail"] == (
+        f"agv {holder['id']} occupation [{t}, inf) on resource {rid} conflicts with agv(s) 99"
+    )
 
 
 def test_cli_invalid_parameters_exit_code(tmp_path, capsys):
@@ -269,8 +285,9 @@ def test_cli_invalid_parameters_exit_code(tmp_path, capsys):
     assert code == EXIT_INVALID
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "invalid"
-    # an inverted interval and an off-graph resource
-    for inject in ("n10,0,50,20", "99999,0,0,5"):
+    # an inverted, negative, never-starting or empty span, and an off-graph
+    # resource
+    for inject in ("n10,0,50,20", "n10,0,-5,5", "n10,0,inf,inf", "n10,0,5,5", "99999,0,0,5"):
         code = main(
             ["run", "--grid", "6", "--agvs", "2", "--demands", "0",
              "--inject", inject, "--out", str(tmp_path / "inject")]
@@ -534,12 +551,48 @@ def test_cli_bench_presets_smallest(tmp_path, capsys):
     assert all(b[0] == "presets" and b[1] == "6" and int(b[4]) > 0 for b in body)
 
 
-def _perfbench_tracer():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
-    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+def _perfbench_module(stem):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{stem}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.Tracer()
+    return module
+
+
+def _perfbench_tracer():
+    return _perfbench_module("layers").Tracer()
+
+
+def test_benchmark_checker_reads_what_the_run_writes(tmp_path, capsys):
+    # The benchmark checks every timetable it makes with perfbench/check.py,
+    # which re-expands each walk with naive_reservations and reads the
+    # reservations it returns.
+    check = _perfbench_module("check")
+    text = to_json(generate(grid=6, agvs=2, demands=2, seed=4))
+    f = tmp_path / "scenario.json"
+    f.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(f), "--out", str(out)]) == EXIT_OK
+    written = (out / "timetable.json").read_text()
+    assert check.check_timetable(text, written) == []
+
+    # Walk the second AGV off its anchor onto the first one's, still a
+    # physical walk that ends on an anchor.
+    doc = json.loads(written)
+    g = materialise(from_json(text))[0]
+    first, second = doc["agvs"]
+    last = second["steps"][-1]
+    t = last["end"] = last["start"] + 1
+    route, _ = spatial_path(
+        g, g.resource_id(last["resource"]), g.resource_id(first["steps"][-1]["resource"])
+    )
+    for rid in route[1:]:
+        w = 0 if g.is_node(rid) else g.edge_at(rid).weight
+        second["steps"].append({"resource": g.describe(rid), "start": t, "end": t + w})
+        t += w
+    second["steps"][-1]["end"] = "inf"
+    problems = check.check_timetable(text, json.dumps(doc))
+    assert any("enters the footprint" in p for p in problems), problems
 
 
 def test_cli_run_keeps_the_benchmark_trace_hooks(tmp_path, capsys):

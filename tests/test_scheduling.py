@@ -14,7 +14,7 @@ from agvtime.graph import (
     build_grid,
     subdivide,
 )
-from agvtime.intervals import INF, Interval
+from agvtime.intervals import INF
 from agvtime.pathing import SourceSpec
 from agvtime.scheduling import (
     PRESETS,
@@ -263,7 +263,7 @@ def test_committed_state_is_exactly_timeline_footprints():
             )
             want = [r for agv, steps in tt.steps.items() for r in naive_reservations(steps, links, agv)]
             got = [
-                Reservation(rid, agv, Interval(s, e))
+                Reservation(rid, agv, s, e)
                 for rid, tree in enumerate(tt.tg.trees)
                 for s, e, ids in tree.intervals()
                 for agv in ids

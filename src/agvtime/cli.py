@@ -28,12 +28,12 @@ EXIT_INVALID = 2
 EXIT_FAULT = 3
 EXIT_AUDIT = 4
 
-# The generator's parameters without a default must be given. They and the
-# parameters that are no Scenario field (the edge weight) shape the layout,
-# so they cannot change a scenario file; every other one overrides a field.
-_GENERATE = inspect.signature(generate).parameters
-_REQUIRED = [name for name, p in _GENERATE.items() if p.default is p.empty]
-_SHAPE = set(_REQUIRED) | (_GENERATE.keys() - {f.name for f in dataclasses.fields(Scenario)})
+# The generator's named parameters shape the layout, so they cannot change a
+# scenario file; those without a default must be given. Every other flag
+# names a Scenario field, which generate takes as one of its **fields.
+_GENERATE = [p for p in inspect.signature(generate).parameters.values() if p.kind is p.KEYWORD_ONLY]
+_SHAPE = {p.name for p in _GENERATE}
+_REQUIRED = [p.name for p in _GENERATE if p.default is p.empty]
 
 
 def _report(kind: str, detail: str) -> None:

@@ -4,8 +4,8 @@ Time is measured in unsigned integer ticks. A single distinguished value INF
 (positive infinity) marks reservations that never expire; every span start
 is finite. A span is a plain ``start, end`` pair of ticks with start < end,
 half-open, so [3, 7) and [7, 9) touch but do not overlap. Spans are not
-validated here: the planner builds them from checked paths, and the command
-line checks the one span it reads from outside.
+validated here: the planner builds them from checked paths, and
+``TimeGraph.reserve``, the one-span entry for other callers, checks its own.
 
 A GapTree holds the reservations of one resource as a sorted sequence of
 disjoint intervals, each tagged with the non-empty set of AGV ids holding it.
@@ -20,10 +20,6 @@ INF = float("inf")
 AgvId = int
 
 _ALL_FREE = ((0, INF),)  # gaps_from(agv, 0) of every empty tree
-
-
-def is_finite(t) -> bool:
-    return t != INF
 
 
 def fmt_tick(t) -> str:
@@ -204,7 +200,7 @@ class GapTree:
         prev_end = None
         prev_ids = None
         for s, e, ids in self.intervals():
-            assert is_finite(s) and s >= 0, f"non-finite or negative start {s}"
+            assert s != INF and s >= 0, f"non-finite or negative start {s}"
             assert s < e, f"empty stored interval [{s}, {e})"
             assert ids, f"empty id set at [{s}, {e})"
             if prev_end is not None:

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .graph import InvalidParameterError, ResourceGraph, spatial_path
-from .intervals import INF, AgvId, is_finite
+from .intervals import INF, AgvId
 from .timegraph import TimeGraph
 
 
@@ -101,16 +101,18 @@ class TimePath:
 
 
 def check_stages(stages) -> None:
+    """Raise InvalidParameterError unless each stage has targets and a stop
+    >= 0, INF (hold forever) only on the last; ``entry + INF`` is INF, so
+    nothing past this check treats an infinite stop apart."""
     if not stages:
         raise InvalidParameterError("route needs at least one stage")
     last = len(stages) - 1
     for i, st in enumerate(stages):
         if not st.targets:
             raise InvalidParameterError(f"stage {i} has no targets")
-        if is_finite(st.stop):
-            if st.stop < 0:
-                raise InvalidParameterError(f"stage {i} stop is negative")
-        elif i != last:
+        if st.stop < 0:
+            raise InvalidParameterError(f"stage {i} stop is negative")
+        if st.stop == INF and i != last:
             raise InvalidParameterError("infinite stop before the final stage")
 
 
@@ -285,12 +287,11 @@ def _search(
         if stage == K:
             return lab
         st = stages[stage]
-        if node in st.targets:
+        # An infinite stop, only ever the last, fits only a window to INF.
+        if node in st.targets and entry + st.stop <= wend:
             if stage == K - 1:
-                ok = wend == INF if not is_finite(st.stop) else entry + st.stop <= wend
-                if ok:
-                    push(agv, node, lab.wstart, wend, entry, K, lab, None)
-            elif entry + st.stop <= wend:
+                push(agv, node, lab.wstart, wend, entry, K, lab, None)
+            else:
                 push(agv, node, lab.wstart, wend, entry + st.stop, stage + 1, lab, None)
         memo = memos[agv]
         last = wend  # latest departure worth a label; a bound lowers it per move
@@ -354,9 +355,7 @@ def _emit(done, final_stop) -> tuple[Step, ...]:
             steps.append(Step(lab.parent.node, hold_start, dep))
         steps.append(Step(erid, dep, arr))
         hold_start = arr
-    arrival = done.entry
-    end = INF if not is_finite(final_stop) else arrival + final_stop
-    steps.append(Step(done.node, hold_start, end))
+    steps.append(Step(done.node, hold_start, done.entry + final_stop))
     return tuple(steps)
 
 

@@ -3,6 +3,10 @@
 A scenario pins the layout (a grid recipe or an explicit graph), the fleet
 placement, the demand list, and every knob the pipeline reads. Generation is
 fully seeded so a scenario file can always be recreated byte for byte.
+
+Every scenario, loaded or generated, is built by ``_graph_and_fleet`` and
+passes ``scheduling.check_plan``, so each input rule is checked in one place.
+``Scenario`` alone states the fields' defaults.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import random
 
 from .graph import (
     Edge,
-    GeoLinks,
     InvalidParameterError,
     ResourceGraph,
     build_adjacency_links,
@@ -22,7 +25,7 @@ from .graph import (
     validate,
 )
 from .pathing import SourceSpec, check_source
-from .scheduling import Demand, check_plan
+from .scheduling import Demand, check_plan, demand_node_fault
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,7 +90,15 @@ def _graph_from_spec(spec) -> ResourceGraph:
 
 
 def _graph_and_fleet(sc: Scenario):
-    """Subdivided graph, placements and demands, checked: materialise minus links."""
+    """Subdivided graph, placements and demands: materialise minus links.
+
+    The one builder of every scenario. It checks every field but the preset
+    and the anchoriser, which ``check_plan`` takes with the graph.
+    """
+    for name in ("stop_pickup", "stop_dropoff"):
+        _int(getattr(sc, name), name)
+    if type(sc.seed) is not int:
+        raise InvalidParameterError(f"seed must be an integer, got {sc.seed!r}")
     g = subdivide(_graph_from_spec(sc.graph), _int(sc.subdivisions, "subdivisions", 1))
     _int(sc.link_radius, "link radius", 1)
     placements = {}
@@ -113,14 +124,8 @@ def materialise(sc: Scenario):
 def validate_scenario(sc: Scenario):
     """Violation or error text if the scenario is unusable, else None."""
     try:
-        for name in ("stop_pickup", "stop_dropoff"):
-            _int(getattr(sc, name), name)
-        if type(sc.seed) is not int:
-            raise InvalidParameterError(f"seed must be an integer, got {sc.seed!r}")
         g, placements, demands = _graph_and_fleet(sc)
         check_plan(g, placements, demands, sc.preset, sc.anchoriser)
-        if "manhattan" in sc.preset and (g.coords is None or g.unit_weight is None):
-            raise InvalidParameterError(f"preset {sc.preset} needs graph coords and unit_weight")
     except InvalidParameterError as err:
         return str(err)
     return validate(g, len(placements))
@@ -162,49 +167,31 @@ def _spread_placements(g, links, count, rng):
     return chosen
 
 
-def generate(
-    *,
-    grid: int,
-    agvs: int,
-    demands: int,
-    seed: int = 0,
-    weight: int = 10,
-    subdivisions: int = 1,
-    link_radius: int = 1,
-    preset: str = "full-zero",
-    anchoriser: str = "greedy",
-    stop_pickup: int = 0,
-    stop_dropoff: int = 0,
-) -> Scenario:
-    """Seeded random scenario on an n-by-n grid.
+def generate(*, grid: int, agvs: int, demands: int, weight: int = 10, **fields) -> Scenario:
+    """Seeded random scenario on a ``grid``-by-``grid`` grid of ``weight``-tick
+    edges, with ``agvs`` spread-out AGVs and ``demands`` demands.
 
-    The link radius is capped at 2*subdivisions - 1: a parked AGV's footprint
-    then stays strictly inside its own incident edge chains, which is what
-    keeps every demand reachable no matter how the fleet is parked.
+    ``fields`` are ``Scenario`` fields, with its defaults. The scenario is
+    built and checked as a loaded one is; on top of that, the link radius is
+    capped at 2*subdivisions - 1: a parked AGV's footprint then stays strictly
+    inside its own incident edge chains, which is what keeps every demand
+    reachable no matter how the fleet is parked.
     """
     _int(agvs, "agvs")
     _int(demands, "demands")
-    _int(stop_pickup, "stop_pickup")
-    _int(stop_dropoff, "stop_dropoff")
-    _int(subdivisions, "subdivisions", 1)
-    _int(link_radius, "link radius", 1)
-    if link_radius > 2 * subdivisions - 1:
+    sc = Scenario(graph={"type": "grid", "n": grid, "weight": weight}, placements=(), demands=(), **fields)
+    g = _graph_and_fleet(sc)[0]
+    check_plan(g, {}, (), sc.preset, sc.anchoriser)
+    if sc.link_radius > 2 * sc.subdivisions - 1:
         raise InvalidParameterError(
             "link radius above 2*subdivisions-1 voids the routing guarantee"
         )
-    base = build_grid(grid, weight)
-    g = subdivide(base, subdivisions)
     if agvs > len(g.anchors):
         raise InvalidParameterError("more AGVs than anchors")
-    links = build_adjacency_links(g, link_radius)
-    rng = random.Random(seed)
+    links = build_adjacency_links(g, sc.link_radius)
+    rng = random.Random(sc.seed)
     spots = _spread_placements(g, links, agvs, rng)
-    placements = tuple(
-        {"agv": i + 1, "resource": spots[i]} for i in range(agvs)
-    )
-    free_nodes = sorted(
-        set(range(base.num_nodes)) - base.anchors
-    )
+    free_nodes = [v for v in range(g.num_nodes) if demand_node_fault(g, v) is None]
     if demands and len(free_nodes) < 2:
         raise InvalidParameterError("no interior nodes for demands")
     ds = []
@@ -214,15 +201,5 @@ def generate(
         while dropoff == pickup:
             dropoff = rng.choice(free_nodes)
         ds.append({"id": i, "pickup": pickup, "dropoff": dropoff, "horizon": 0})
-    return Scenario(
-        graph={"type": "grid", "n": grid, "weight": weight},
-        placements=placements,
-        demands=tuple(ds),
-        seed=seed,
-        preset=preset,
-        anchoriser=anchoriser,
-        subdivisions=subdivisions,
-        link_radius=link_radius,
-        stop_pickup=stop_pickup,
-        stop_dropoff=stop_dropoff,
-    )
+    placements = tuple({"agv": i + 1, "resource": v} for i, v in enumerate(spots))
+    return dataclasses.replace(sc, placements=placements, demands=tuple(ds))

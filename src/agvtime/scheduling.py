@@ -64,11 +64,27 @@ class Demand:
     horizon: int = 0
 
 
+def demand_node_fault(g: ResourceGraph, node) -> str | None:
+    """Why ``node`` cannot be a pickup or dropoff on ``g``, or None if it can."""
+    if not 0 <= node < g.num_nodes:
+        return "is not a node"
+    if node in g.anchors:
+        return "is an anchor"
+    if node in g.subdivision_nodes:
+        return "is a subdivision point"
+    return None
+
+
 def check_plan(g: ResourceGraph, placements, demands, preset: str, anchoriser: str) -> None:
     """Raise InvalidParameterError unless the preset, the anchoriser and the
-    demands make a plan ``build_timetable`` can attempt."""
+    demands make a plan ``build_timetable`` can attempt. The one gate for
+    them: ``build_timetable`` and every loaded or generated scenario pass it.
+    A Manhattan preset needs the graph's ``coords`` and ``unit_weight``.
+    """
     if preset not in PRESETS:
         raise InvalidParameterError(f"unknown preset {preset!r}")
+    if "manhattan" in preset and (g.coords is None or g.unit_weight is None):
+        raise InvalidParameterError(f"preset {preset} needs graph coords and unit_weight")
     if anchoriser not in ANCHORISERS:
         raise InvalidParameterError(f"unknown anchoriser {anchoriser!r}")
     if demands and not placements:
@@ -78,14 +94,9 @@ def check_plan(g: ResourceGraph, placements, demands, preset: str, anchoriser: s
         raise InvalidParameterError("demand ids are not unique")
     for d in demands:
         for node in (d.pickup, d.dropoff):
-            if not (0 <= node < g.num_nodes):
-                raise InvalidParameterError(f"demand {d.id}: {node} is not a node")
-            if node in g.anchors:
-                raise InvalidParameterError(f"demand {d.id}: {node} is an anchor")
-            if node in g.subdivision_nodes:
-                raise InvalidParameterError(
-                    f"demand {d.id}: {node} is a subdivision point"
-                )
+            fault = demand_node_fault(g, node)
+            if fault is not None:
+                raise InvalidParameterError(f"demand {d.id}: {node} {fault}")
         if d.horizon < 0:
             raise InvalidParameterError(f"demand {d.id}: negative horizon")
 

@@ -14,7 +14,7 @@ base occupation is a conflict.
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graph import ResourceGraph
+from .graph import InvalidParameterError, ResourceGraph
 from .intervals import AgvId, GapTree, fmt_tick
 
 
@@ -55,6 +55,10 @@ class TimeGraph:
         self.trees = [GapTree() for _ in range(g.num_resources)]
 
     def reserve(self, resource: int, agv: AgvId, start, end) -> None:
+        """One checked reservation; the tree itself trusts its spans."""
+        if not 0 <= start < end:
+            span = f"[{fmt_tick(start)}, {fmt_tick(end)})"
+            raise InvalidParameterError(f"reservation {span} on resource {resource} wants 0 <= start < end")
         self.trees[resource].insert(agv, start, end)
 
     def reserve_all(self, reservations) -> None:

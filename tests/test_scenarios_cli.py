@@ -1,6 +1,7 @@
 """Scenario files, the seeded generator, and the command line round trip."""
 
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import os
@@ -133,6 +134,37 @@ def test_generate_rejects_fleet_beyond_anchors():
         generate(grid=4, agvs=13, demands=0, seed=0)
 
 
+@pytest.mark.parametrize("name, value", [("preset", "bogus"), ("anchoriser", "x"), ("seed", "abc")])
+def test_generate_checks_what_a_file_is_checked_for(name, value):
+    with pytest.raises(InvalidParameterError):
+        generate(grid=6, agvs=2, demands=1, **{name: value})
+    sc = dataclasses.replace(generate(grid=6, agvs=2, demands=1), **{name: value})
+    assert validate_scenario(sc) is not None
+
+
+# The benchmark workloads' generator keywords, as in perfbench/workloads.py.
+BENCH_WORKLOADS = (
+    dict(grid=30, agvs=8, demands=160, preset="full-manhattan", anchoriser="greedy"),
+    dict(grid=26, agvs=80, demands=0, anchoriser="greedy"),
+    dict(grid=14, agvs=8, demands=200, subdivisions=2, link_radius=3,
+         preset="partial-manhattan", anchoriser="greedy"),
+)
+GENERATE_MATRIX = [dict(kw, seed=seed) for kw in BENCH_WORKLOADS for seed in (1, 97)] + [
+    dict(grid=8, agvs=3, demands=12, seed=sub * 10 + r, weight=12, subdivisions=sub, link_radius=r,
+         stop_pickup=pickup, stop_dropoff=dropoff)
+    for sub in (2, 3) for r in range(1, 2 * sub) for pickup, dropoff in ((0, 0), (3, 5))
+]
+
+
+def test_generate_output_is_pinned():
+    # Digest taken before generate built through the scenario checks; every
+    # scenario file the benchmark writes comes from this function.
+    digest = hashlib.sha256()
+    for kw in GENERATE_MATRIX:
+        digest.update(to_json(generate(**kw)).encode())
+    assert digest.hexdigest() == "a4a77b7d805c7d71b7b0976acd8530ceb90c66c72776b4fa02a23ae799272f46"
+
+
 def test_validate_scenario_reports_bad_fields():
     sc = generate(grid=6, agvs=2, demands=2, seed=1)
     bad = Scenario(
@@ -241,6 +273,20 @@ def test_cli_preset_override_lands_in_metrics(tmp_path, capsys):
     assert row.split(",")[2] == "full-manhattan"
 
 
+def test_cli_run_overrides_every_field_of_a_file(tmp_path, capsys):
+    args = ["generate", "--grid", "6", "--agvs", "2", "--demands", "3", "--seed", "2"]
+    assert main([*args, "--out", str(tmp_path)]) == EXIT_OK
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--scenario", str(tmp_path / "scenario.json"), "--seed", "5", "--anchoriser", "naive",
+         "--subdivide", "2", "--link-radius", "3", "--stop-pickup", "2", "--stop-dropoff", "1",
+         "--preset", "partial-manhattan", "--out", str(out)]
+    )
+    assert code == EXIT_OK
+    row = drop_runtime((out / "metrics.csv").read_text())[-1]
+    assert row == ["run", "grid6-sub2-r3-a2-d3-seed5", "partial-manhattan", "267", "340", "naive"]
+
+
 def test_cli_injected_conflict_fails_audit(tmp_path, capsys):
     gen = main(
         ["generate", "--grid", "6", "--agvs", "2", "--demands", "2", "--seed", "4",
@@ -323,6 +369,7 @@ def test_cli_invalid_parameters_exit_code(tmp_path, capsys):
         ["run", "--scenario", str(scenario), "--out", str(taken)],
         ["generate", "--grid", "6", "--agvs", "2", "--demands", "0", "--out", str(taken)],
         ["run", "--scenario", str(scenario), "--grid", "50", "--out", str(tmp_path / "shape")],
+        ["run", "--scenario", str(scenario), "--weight", "3", "--out", str(tmp_path / "shape")],
         ["bench", "--suite", "anchorisers", "--agv-counts", "2,x", "--out", str(tmp_path / "bench")],
         ["bench", "--suite", "reservers", "--seed", "5", "--out", str(tmp_path / "bench")],
         # negative counts and stop ticks, wherever a scenario is generated

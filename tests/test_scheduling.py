@@ -190,6 +190,14 @@ def test_rejects_bad_demands():
         build(g, {}, [Demand(0, inner, inner)])
 
 
+@pytest.mark.parametrize("preset", ["full-manhattan", "partial-manhattan"])
+def test_manhattan_preset_needs_coords_before_anchorisation(preset):
+    # No demand ever asks for the guide here: check_plan alone refuses it.
+    g = ResourceGraph(4, [Edge(i, (i + 1) % 4, 5) for i in range(4)], anchors={0, 2})
+    with pytest.raises(InvalidParameterError, match="needs graph coords"):
+        build(g, {1: SourceSpec(1)}, [], preset=preset)
+
+
 def test_stall_propagates():
     edges = [Edge(i, i + 1, 10) for i in range(3)]
     g = ResourceGraph(4, edges, anchors={0, 3})

@@ -1,6 +1,8 @@
 """Reservation bookkeeping across a resource graph, plus the safety audit."""
 
-from agvtime.graph import build_grid
+import pytest
+
+from agvtime.graph import InvalidParameterError, build_grid
 from agvtime.intervals import INF
 from agvtime.timegraph import Reservation, TimeGraph, audit_safety
 
@@ -23,6 +25,18 @@ def test_reserve_release_roundtrip():
     assert dump_csv(tg) != before
     tg.remove_all(items)
     assert dump_csv(tg) == before
+
+
+@pytest.mark.parametrize("start, end", [(10, 5), (-1, 5), (INF, INF), (5, 5)])
+def test_reserve_rejects_a_bad_span_before_touching_the_tree(start, end):
+    # GapTree trusts its spans: an inverted one inserted over [0, 20) would
+    # quietly split it around an empty stored interval [10, 5).
+    tg = make_tg()
+    tg.reserve(3, 2, 0, 20)
+    before = tg.trees[3].dump()
+    with pytest.raises(InvalidParameterError, match="on resource 3"):
+        tg.reserve(3, 1, start, end)
+    assert tg.trees[3].dump() == before
 
 
 def test_gap_query_sees_own_as_free():

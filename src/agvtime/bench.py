@@ -8,6 +8,7 @@ determinism promise. The reservers suite carries a correctness verdict in
 
 from __future__ import annotations
 
+import gc
 import time
 
 from .anchoring import greedy_anchorise, naive_anchorise
@@ -118,6 +119,22 @@ def reservers_route(grid, s):
     return g, links, corner_route_steps(g, start, goal)
 
 
+def _sample_s(fn, steps, links):
+    """Seconds per expansion over one sample, with the garbage collector
+    off as ``timeit`` has it, so that no collection lands in one sample and
+    not its twin; returns the time and the last expansion."""
+    gc_was_on = gc.isenabled()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        for _ in range(EXPANSIONS_PER_SAMPLE):
+            out = fn(steps, links, 1)
+        return (time.perf_counter() - t0) / EXPANSIONS_PER_SAMPLE, out
+    finally:
+        if gc_was_on:
+            gc.enable()
+
+
 def bench_reservers(*, grid=40, subdivisions=(1, 2, 4, 6), reps=20):
     """Best of ``reps`` samples per expansion, naive and boundary samples
     alternating so that drift in machine speed cannot skew their ratio."""
@@ -128,10 +145,7 @@ def bench_reservers(*, grid=40, subdivisions=(1, 2, 4, 6), reps=20):
         timings = {}
         for _ in range(reps):
             for name, fn in (("naive", naive_reservations), ("boundary", boundary_reservations)):
-                t0 = time.perf_counter()
-                for _ in range(EXPANSIONS_PER_SAMPLE):
-                    outputs[name] = fn(steps, links, 1)
-                dt = (time.perf_counter() - t0) / EXPANSIONS_PER_SAMPLE
+                dt, outputs[name] = _sample_s(fn, steps, links)
                 timings[name] = min(timings.get(name, dt), dt)
         same = normalise(outputs["naive"]) == normalise(outputs["boundary"])
         note = "equal" if same else "UNEQUAL"

@@ -181,7 +181,6 @@ def generate(*, grid: int, agvs: int, demands: int, weight: int = 10, **fields) 
     _int(demands, "demands")
     sc = Scenario(graph={"type": "grid", "n": grid, "weight": weight}, placements=(), demands=(), **fields)
     g = _graph_and_fleet(sc)[0]
-    check_plan(g, {}, (), sc.preset, sc.anchoriser)
     if sc.link_radius > 2 * sc.subdivisions - 1:
         raise InvalidParameterError(
             "link radius above 2*subdivisions-1 voids the routing guarantee"
@@ -200,6 +199,7 @@ def generate(*, grid: int, agvs: int, demands: int, weight: int = 10, **fields) 
         dropoff = rng.choice(free_nodes)
         while dropoff == pickup:
             dropoff = rng.choice(free_nodes)
-        ds.append({"id": i, "pickup": pickup, "dropoff": dropoff, "horizon": 0})
+        ds.append(Demand(i, pickup, dropoff))
+    check_plan(g, {i + 1: SourceSpec(v) for i, v in enumerate(spots)}, ds, sc.preset, sc.anchoriser)
     placements = tuple({"agv": i + 1, "resource": v} for i, v in enumerate(spots))
-    return dataclasses.replace(sc, placements=placements, demands=tuple(ds))
+    return dataclasses.replace(sc, placements=placements, demands=tuple(map(dataclasses.asdict, ds)))

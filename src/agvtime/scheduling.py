@@ -5,6 +5,14 @@ whole future is always reserved. Committing a new route for an AGV trims that
 hold from the route's first tick onward, the tick where ``Timetable`` cuts it
 too, and never touches anything earlier, which keeps all previously committed
 reservations intact.
+
+Each demand's route ends on a final anchor drawn with one ``rng.choice``.
+The draw is among the *ready* anchors: those free for the AGV from the
+plan's start tick to ``INF``, so no search has to wait out another AGV's
+hold that ends far in the future. When none is ready, the draw is among the
+*open* anchors, which no other AGV holds to ``INF``. Every ready anchor is
+open, so the routing guarantee, which only needs an open final anchor,
+holds either way.
 """
 
 from __future__ import annotations
@@ -205,6 +213,19 @@ def _plan(tg, g, agv, src_node, stages, preset, earliest):
     )
 
 
+def choose_anchor(tg, anchors, agv, start, rng):
+    """One ``rng.choice`` among the sorted ``anchors`` that are free for
+    ``agv`` from ``start`` on, or among the open ones when none is."""
+    ready, open_anchors = [], []
+    free = ((start, INF),)
+    for a in anchors:
+        if not (tg.holders_to_infinity(a) - {agv}):
+            open_anchors.append(a)
+            if tg.gaps_from(a, agv, start) == free:
+                ready.append(a)
+    return rng.choice(ready or open_anchors)
+
+
 def build_timetable(
     g: ResourceGraph,
     links: GeoLinks,
@@ -232,6 +253,7 @@ def build_timetable(
 
     paths = {agv: [parked.paths[agv]] for agv in sorted(placements)}
     fleet = sorted(placements)
+    anchors = sorted(g.anchors)
 
     batch_starts = sorted({d.horizon for d in demands})
     for h in batch_starts:
@@ -240,20 +262,15 @@ def build_timetable(
         rng.shuffle(batch)
         for d in batch:
             agv = assigned[d.id]
-            open_anchors = sorted(
-                a
-                for a in g.anchors
-                if not (tg.holders_to_infinity(a) - {agv})
-            )
-            anchor = rng.choice(open_anchors)
+            last = paths[agv][-1]
+            held = last.steps[-1].resource
+            start = max(h, last.arrival)
             stages = [
                 Stage({d.pickup}, stop_pickup),
                 Stage({d.dropoff}, stop_dropoff),
-                Stage({anchor}, INF),
+                Stage({choose_anchor(tg, anchors, agv, start, rng)}, INF),
             ]
-            last = paths[agv][-1]
-            held = last.steps[-1].resource
-            p = _plan(tg, g, agv, held, stages, preset, max(h, last.arrival))
+            p = _plan(tg, g, agv, held, stages, preset, start)
             if p is None:
                 raise NoPathFault(d.id, agv, preset)
             tg.remove_all(hold(links, agv, held, p.steps[0].start))

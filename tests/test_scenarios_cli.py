@@ -321,6 +321,18 @@ def test_cli_injected_conflict_fails_audit(tmp_path, capsys):
     )
 
 
+def test_cli_generate_refuses_demands_without_a_fleet(tmp_path, capsys):
+    # The drawn demands pass the same plan gate a scenario file does.
+    with pytest.raises(InvalidParameterError, match="fleet is empty"):
+        generate(grid=6, agvs=0, demands=1)
+    code = main(["generate", "--grid", "6", "--agvs", "0", "--demands", "1", "--out", str(tmp_path)])
+    assert code == EXIT_INVALID
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0])["error"] == "invalid"
+    assert not (tmp_path / "scenario.json").exists()
+
+
 def test_cli_invalid_parameters_exit_code(tmp_path, capsys):
     code = main(["run", "--grid", "6", "--agvs", "2"])
     assert code == EXIT_INVALID

@@ -1,7 +1,9 @@
 """Timetable construction: hand-checked routes, immutability, determinism."""
 
 import dataclasses
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -15,15 +17,17 @@ from agvtime.graph import (
     subdivide,
 )
 from agvtime.intervals import INF
-from agvtime.pathing import SourceSpec
+from agvtime.pathing import SourceSpec, Stage, time_path
 from agvtime.scheduling import (
     PRESETS,
     Demand,
     StalledAnchorisation,
     Timetable,
     build_timetable,
+    choose_anchor,
     metrics,
 )
+from agvtime.timegraph import TimeGraph
 from agvtime.scenarios import generate, materialise
 from agvtime.timegraph import Reservation, audit_safety
 
@@ -277,3 +281,86 @@ def test_committed_state_is_exactly_timeline_footprints():
                 for agv in ids
             ]
             assert normalise(got) == normalise(want), (preset, seed)
+
+
+def anchor_choice_setup():
+    """A 5-grid where AGV 9 holds every anchor to INF but two: AGV 2 holds
+    ``held`` until tick 5000, and ``free`` is nobody's."""
+    g = build_grid(5, 10)
+    anchors = anchors_sorted(g)
+    held, free = anchors[2], anchors[5]
+    tg = TimeGraph(g)
+    for a in anchors:
+        if a not in (held, free):
+            tg.reserve(a, 9, 0, INF)
+    tg.reserve(held, 2, 0, 5000)
+    return g, tg, anchors, held, free
+
+
+def drew_once(rng, seed, choices):
+    twin = random.Random(seed)
+    twin.choice(choices)
+    return rng.getstate() == twin.getstate()
+
+
+def test_final_anchor_is_one_free_from_the_start_tick():
+    _, tg, anchors, held, free = anchor_choice_setup()
+    for seed in range(200):
+        rng = random.Random(seed)
+        assert choose_anchor(tg, anchors, 1, 40, rng) == free
+        assert drew_once(rng, seed, [free])
+    # Once the hold has ended by the start tick, both anchors are ready.
+    picked = {choose_anchor(tg, anchors, 1, 5000, random.Random(seed)) for seed in range(40)}
+    assert picked == {held, free}
+
+
+def test_final_anchor_falls_back_to_the_open_ones():
+    g, tg, anchors, held, free = anchor_choice_setup()
+    tg.reserve(free, 3, 0, 6000)
+    picked = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        anchor = choose_anchor(tg, anchors, 1, 40, rng)
+        assert drew_once(rng, seed, [held, free])
+        picked.add(anchor)
+        # The demand still plans: it waits for the anchor's hold to end.
+        stages = [
+            Stage({rid_at(g, (2, 1))}, 0),
+            Stage({rid_at(g, (2, 3))}, 0),
+            Stage({anchor}, INF),
+        ]
+        p = time_path(tg, 1, SourceSpec(rid_at(g, (1, 1))), stages, earliest=40)
+        assert p is not None
+        assert p.steps[-1].resource == anchor and p.steps[-1].end == INF
+        assert p.arrival >= (5000 if anchor == held else 6000)
+    assert picked == {held, free}
+
+
+# Small seeded scenarios over every preset and both anchorisers, one of them
+# subdivided, each with demands.
+PINNED_PLANS = (
+    dict(grid=8, agvs=3, demands=24, seed=1, preset="full-zero", anchoriser="greedy"),
+    dict(grid=8, agvs=4, demands=24, seed=2, preset="full-manhattan", anchoriser="naive"),
+    dict(grid=8, agvs=3, demands=24, seed=3, preset="partial-dijkstras", anchoriser="naive"),
+    dict(grid=8, agvs=3, demands=24, seed=4, preset="partial-manhattan", anchoriser="greedy"),
+    dict(grid=6, agvs=3, demands=16, seed=5, weight=12, subdivisions=2, link_radius=3,
+         preset="partial-manhattan", anchoriser="naive", stop_pickup=3, stop_dropoff=5),
+    dict(grid=10, agvs=6, demands=30, seed=6, preset="full-manhattan", anchoriser="greedy"),
+)
+
+
+def test_planned_timetables_are_pinned():
+    # Digest taken once final anchors were drawn among those free from the
+    # plan's start tick; a change that promises the same plans must keep it.
+    digest = hashlib.sha256()
+    for kw in PINNED_PLANS:
+        sc = generate(**kw)
+        g, links, placements, demands = materialise(sc)
+        tt = build_timetable(
+            g, links, placements, demands,
+            preset=sc.preset, anchoriser=sc.anchoriser,
+            stop_pickup=sc.stop_pickup, stop_dropoff=sc.stop_dropoff, seed=sc.seed,
+        )
+        assert_clean(tt)
+        digest.update(tt.to_json().encode())
+    assert digest.hexdigest() == "95c272ab9ac811eb6dc77be8476e30fd75e3f95395c2441e786a9a401eb230fb"

@@ -62,21 +62,24 @@ class TimeGraph:
         self.trees[resource].insert(agv, start, end)
 
     def reserve_all(self, reservations) -> None:
+        trees = self.trees
         for rid, agv, start, end in reservations:
-            self.trees[rid].insert(agv, start, end)
+            trees[rid].insert(agv, start, end)
 
     def remove_all(self, reservations) -> None:
+        trees = self.trees
         for rid, agv, start, end in reservations:
-            self.trees[rid].remove(agv, start, end)
+            trees[rid].remove(agv, start, end)
 
     def gap_query(self, resource: int, agv: AgvId, start, end):
         return self.trees[resource].gap_query(agv, start, end)
 
     def gaps_from(self, resource: int, agv: AgvId, since):
         """agv's gaps on resource over [since, INF) as (start, end) tuples,
-        the first clipped to start at ``since``. The path search's only read:
-        it calls this once per (resource, agv) pair with its earliest tick
-        and keeps the result for the rest of the search."""
+        the first clipped to start at ``since``. The planner's gap read: the
+        path search calls this once per (resource, agv) pair with its
+        earliest tick and keeps the result for the rest of the search, and
+        ``scheduling.choose_anchor`` reads each anchor from a plan's start."""
         return self.trees[resource].gaps_from(agv, since)
 
     def gaps_full(self, resource: int, agv: AgvId):

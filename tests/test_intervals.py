@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -106,6 +107,79 @@ def test_dump_format():
     assert fmt_tick(INF) == "inf"
 
 
+def tree_and_oracle(seed_ops):
+    tree, oracle = GapTree(), TimelineOracle(HORIZON)
+    for agv, a, b in seed_ops:
+        tree.insert(agv, a, b)
+        oracle.insert(agv, a, b)
+    return tree, oracle
+
+
+ONE, TWO, BOTH = frozenset({1}), frozenset({2}), frozenset({1, 2})
+
+
+@pytest.mark.parametrize(
+    "seed_ops, span, want, touching",
+    [
+        # left merge
+        ([(1, 10, 20)], (20, 25), [(10, 25, ONE)], 1),
+        # right merge
+        ([(1, 10, 20)], (5, 10), [(5, 20, ONE)], 1),
+        # two-sided merge: the right interval is deleted
+        ([(1, 10, 20), (1, 30, 40)], (20, 30), [(10, 40, ONE)], 2),
+        # neighbours held by another AGV do not merge
+        ([(2, 10, 20), (2, 30, 40)], (20, 30), [(10, 20, TWO), (20, 30, ONE), (30, 40, TWO)], 2),
+        # nor do neighbours held by a set that includes agv
+        (
+            [(1, 10, 20), (2, 10, 20), (1, 30, 40), (2, 30, 40)],
+            (20, 30),
+            [(10, 20, BOTH), (20, 30, ONE), (30, 40, BOTH)],
+            2,
+        ),
+        # one side merges, the other is shared
+        ([(1, 10, 20), (1, 30, 40), (2, 30, 40)], (20, 30), [(10, 30, ONE), (30, 40, BOTH)], 2),
+        # before the first interval, touching nothing
+        ([(1, 10, 20)], (2, 5), [(2, 5, ONE), (10, 20, ONE)], 0),
+        # in a gap touching nothing
+        ([(1, 10, 20), (1, 30, 40)], (24, 26), [(10, 20, ONE), (24, 26, ONE), (30, 40, ONE)], 0),
+        # past the last end, and into an empty tree
+        ([(2, 10, 20)], (25, 30), [(10, 20, TWO), (25, 30, ONE)], 0),
+        ([], (25, 30), [(25, 30, ONE)], 0),
+    ],
+)
+def test_insert_into_a_gap(seed_ops, span, want, touching):
+    tree, oracle = tree_and_oracle(seed_ops)
+    version = tree.version
+    tree.insert(1, *span)
+    oracle.insert(1, *span)
+    tree.check_invariants()
+    assert tree.intervals() == want == oracle.segments()
+    assert tree.last_touched == touching
+    assert tree.version == version + 1
+
+
+@pytest.mark.parametrize("agv", [1, 2, 3])
+@pytest.mark.parametrize("since", [0, 15, 25, 30, 35, 63])
+def test_gaps_from_at_and_past_the_last_end(agv, since):
+    # the tail [20, 30) is held by agv 1 alone, so agv 1 reads it as free
+    tree, oracle = tree_and_oracle([(2, 5, 10), (1, 20, 30)])
+    assert_gaps_from(tree, oracle, agv, since)
+
+
+@pytest.mark.parametrize("agv", [1, 2, 3])
+@pytest.mark.parametrize("since", [0, 30, 40, 45, 63])
+def test_gaps_from_a_tree_held_to_infinity(agv, since):
+    tree, oracle = tree_and_oracle([(1, 20, 30), (2, 40, INF)])
+    assert_gaps_from(tree, oracle, agv, since)
+
+
+def assert_gaps_from(tree, oracle, agv, since):
+    got = tree.gaps_from(agv, since)
+    assert got == tuple(tree.gap_query(agv, since, INF))
+    clipped = [(s, min(e, HORIZON)) for s, e in got if s < HORIZON]
+    assert clipped == oracle.gaps(agv, since, HORIZON)
+
+
 def random_op(rng, tree, oracle):
     kind = rng.choice(("insert", "insert", "remove", "query"))
     agv = rng.randrange(8)
@@ -151,6 +225,43 @@ def test_differential_small_sequences():
             tree.check_invariants()
         stored = [(s, e, ids) for s, e, ids in tree.intervals()]
         assert stored == oracle.segments()
+
+
+def overlaps_stored(tree, start, end):
+    return any(s < end and start < e for s, e, _ in tree.intervals())
+
+
+def test_differential_gap_biased():
+    """Few AGVs, short spans on sparse starts: most inserts land in a gap,
+    some touching a neighbour, so the direct insert path dominates."""
+    inserts = in_gaps = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        tree, oracle = GapTree(), TimelineOracle(HORIZON)
+        fleet = rng.randint(2, 3)
+        for _ in range(60):
+            kind = rng.choice(("insert", "insert", "remove", "query"))
+            agv = rng.randrange(fleet)
+            a = 4 * rng.randrange(HORIZON // 4)
+            b = min(a + rng.randint(1, 4), HORIZON)
+            if kind == "remove" and len(tree):
+                # release one holder of a stored interval, freeing its slot
+                a, b, ids = rng.choice(tree.intervals())
+                agv = rng.choice(sorted(ids))
+            if kind == "query":
+                assert tree.gap_query(agv, a, b) == oracle.gaps(agv, a, b)
+                for since in since_ticks(rng, tree):
+                    got = [(s, min(e, HORIZON)) for s, e in tree.gaps_from(agv, since) if s < HORIZON]
+                    assert got == (oracle.gaps(agv, since, HORIZON) if since < HORIZON else [])
+            else:
+                if kind == "insert":
+                    inserts += 1
+                    in_gaps += not overlaps_stored(tree, a, b)
+                getattr(tree, kind)(agv, a, b)
+                getattr(oracle, kind)(agv, a, b)
+            tree.check_invariants()
+            assert tree.intervals() == oracle.segments()
+    assert in_gaps > inserts / 2
 
 
 ops_strategy = st.lists(

@@ -52,10 +52,11 @@ class GapTree:
     takes the general split, coalesce and splice path.
 
     ``gaps_from`` builds an AGV's gaps from a given tick on afresh on every
-    call, from the stored intervals that end after that tick only; when none
-    does, the answer is the one gap from that tick on, with no scan. A path
-    search reads each (resource, AGV) pair once, from its earliest tick, and
-    keeps the result.
+    call, in one index loop over the stored intervals that end after that
+    tick. An empty tree, a tree where nothing ends by that tick (no bisect)
+    and a tree where everything does (the one gap from that tick on, with no
+    scan) each take a fast path. A path search reads each (resource, AGV) pair once, from its
+    earliest tick, and keeps the result.
 
     ``last_touched`` exposes how many stored intervals the most recent
     insert, remove or gap query examined, for locality assertions.
@@ -200,16 +201,24 @@ class GapTree:
         ends = self._ends
         if not ends:
             return _ALL_FREE if since == 0 else ((since, INF),)
-        if ends[0] > since:
-            # Nothing ends by since: the common case, and every read from
-            # tick 0, skips the bisect and the slice copies.
-            stored = zip(self._starts, ends, self._ids)
-        elif ends[-1] <= since:
-            return ((since, INF),)
-        else:
+        lo = 0  # nothing ends by since: the common case, and every read from tick 0
+        if ends[0] <= since:
+            if ends[-1] <= since:
+                return ((since, INF),)
             lo = bisect_right(ends, since)
-            stored = zip(self._starts[lo:], ends[lo:], self._ids[lo:])
-        return tuple(_free(agv, since, INF, stored))
+        starts, idsets = self._starts, self._ids
+        gaps = []
+        cur = since
+        for i in range(lo, len(ends)):
+            ids = idsets[i]
+            if len(ids) == 1 and agv in ids:
+                continue
+            if starts[i] > cur:
+                gaps.append((cur, starts[i]))
+            cur = ends[i]
+        if cur < INF:
+            gaps.append((cur, INF))
+        return tuple(gaps)
 
     def holders_to_infinity(self) -> frozenset[AgvId]:
         """Ids holding a reservation that extends to INF, if any."""

@@ -13,8 +13,16 @@ one that straddles it to start there. Every label enters at or after
 ``earliest``, so no move can use a dropped window, and a clipped start changes
 no departure tick and no test that ends a scan.
 
-Labels leave the heap in the order of ``(f, -stage, -entry, node, seq)``,
-where ``f`` is the entry tick plus the guide's bound on the ticks still to go.
+A label is its own heap entry, a plain tuple
+``(f, -stage, -entry, node, seq, agv, wstart, wend, parent, via)``: ``f`` is
+the entry tick plus the guide's bound on the ticks still to go, ``wstart`` and
+``wend`` bound its gap window, ``parent`` is the entry it grew from and
+``via`` the edge crossing into it. ``seq`` counts pushes, so it is unique and
+every comparison of two entries ends on it at the latest: none ever reaches
+``parent`` or the fields after ``seq``. The guide runs once per pushed label,
+after the label has passed its dominance test.
+
+Labels leave the heap in the order of ``(f, -stage, -entry, node, seq)``.
 Among equal ``f`` the later stage goes first (a finished route first of all),
 then the deepest label, the one with the latest entry tick. On a plateau of
 equal ``f`` the search so runs down one route instead of across all of them
@@ -201,20 +209,6 @@ def nearest_target_guide(g: ResourceGraph, stages) -> GuideFn:
     return lambda node, stage: dist[node] if stage == 0 else 0
 
 
-class _Label:
-    __slots__ = ("agv", "node", "wstart", "wend", "entry", "stage", "parent", "via")
-
-    def __init__(self, agv, node, wstart, wend, entry, stage, parent, via):
-        self.agv = agv
-        self.node = node
-        self.wstart = wstart
-        self.wend = wend
-        self.entry = entry
-        self.stage = stage
-        self.parent = parent
-        self.via = via  # (edge rid, depart, arrive) into this label, or None
-
-
 def _source_label(tg: TimeGraph, memo: dict, agv: AgvId, spec: SourceSpec, earliest: int):
     """Root label (node, window start, window end, entry, via) for one AGV,
     where ``via`` is the rest of its start edge's crossing when it starts
@@ -245,12 +239,17 @@ def _search(
 
     ``roots`` holds each startable AGV's (agv, node, window start, window
     end, entry, via), and ``memos`` its gap memo. Returns the done label, or
-    None when no AGV can finish the route. The heap key is
-    ``(entry + guide, -stage, -entry, node, seq)``: equal-f ties go to the
-    later stage, then the deeper label. A consistent guide keeps the first
-    finished label's arrival minimal under any tie order, and under the zero
-    guide the key is plain entry order (see the module docstring). With a
-    ``bound``, labels whose ``entry + bound`` exceeds ``limit`` are dropped.
+    None when no AGV can finish the route. A label is its own heap entry
+    ``(f, -stage, -entry, node, seq, agv, wstart, wend, parent, via)``, where
+    ``f`` is ``entry + guide``, ``parent`` is the popped entry it grew from
+    and ``via`` the (edge rid, depart, arrive) crossing into it, or None.
+    ``seq`` counts pushes, so no two entries tie on it and no comparison
+    reaches the payload after it. The guide runs once per pushed label, after
+    the dominance test. Equal-f ties go to the later stage, then the deeper
+    label. A consistent guide keeps the first finished label's arrival
+    minimal under any tie order, and under the zero guide the key is plain
+    entry order (see the module docstring). With a ``bound``, labels whose
+    ``entry + bound`` exceeds ``limit`` are dropped.
     """
     K = len(stages)
     moves = tg.graph.moves
@@ -265,22 +264,22 @@ def _search(
         if bound is not None and entry + bound(node, stage) > limit:
             return
         # Dominance first: most candidate labels lose to one already queued,
-        # so the label is only built once it is known to be kept.
+        # so the guide only runs for a label that is kept.
         key = (agv, node, wstart, stage)
         old = best.get(key)
         if old is not None and old <= entry:
             return
         best[key] = entry
-        lab = _Label(agv, node, wstart, wend, entry, stage, parent, via)
-        heappush(heap, (entry + guide(node, stage), -stage, -entry, node, next(seq), lab))
+        heappush(heap, (entry + guide(node, stage), -stage, -entry, node, next(seq), agv, wstart, wend, parent, via))
 
     for agv, node, ws, we, entry, via in roots:
         push(agv, node, ws, we, entry, 0, None, via)
 
     while heap:
-        lab = heappop(heap)[-1]
-        agv, node, wend, entry, stage = lab.agv, lab.node, lab.wend, lab.entry, lab.stage
-        key = (agv, node, lab.wstart, stage)
+        lab = heappop(heap)
+        _, stage, entry, node, _, agv, wstart, wend, _, _ = lab
+        stage, entry = -stage, -entry
+        key = (agv, node, wstart, stage)
         if best.get(key) != entry:
             continue
         best[key] = -1  # closed; real entries are never negative
@@ -290,9 +289,9 @@ def _search(
         # An infinite stop, only ever the last, fits only a window to INF.
         if node in st.targets and entry + st.stop <= wend:
             if stage == K - 1:
-                push(agv, node, lab.wstart, wend, entry, K, lab, None)
+                push(agv, node, wstart, wend, entry, K, lab, None)
             else:
-                push(agv, node, lab.wstart, wend, entry + st.stop, stage + 1, lab, None)
+                push(agv, node, wstart, wend, entry + st.stop, stage + 1, lab, None)
         memo = memos[agv]
         last = wend  # latest departure worth a label; a bound lowers it per move
         for erid, dest, w in moves[node]:
@@ -316,12 +315,13 @@ def _search(
                     break
                 if ee < reach or ee - es < w:
                     continue
+                first = es if es > entry else entry  # earliest departure in this edge window
                 for ds, de in dest_windows:
                     if ds - w > last or ds > ee:
                         break
                     if de <= reach:
                         continue
-                    dep = max(entry, es, ds - w)
+                    dep = ds - w if ds - w > first else first
                     arr = dep + w
                     if dep > last or arr > ee or arr >= de:
                         continue
@@ -331,8 +331,8 @@ def _search(
                     if old is not None and old <= arr:
                         continue
                     best[key] = arr
-                    nxt = _Label(agv, dest, ds, de, arr, stage, lab, (erid, dep, arr))
-                    heappush(heap, (arr + guide(dest, stage), -stage, -arr, dest, next(seq), nxt))
+                    nxt = (arr + guide(dest, stage), -stage, -arr, dest, next(seq), agv, ds, de, lab, (erid, dep, arr))
+                    heappush(heap, nxt)
     return None
 
 
@@ -342,20 +342,20 @@ def _emit(done, final_stop) -> tuple[Step, ...]:
     lab = done
     while lab is not None:
         chain.append(lab)
-        lab = lab.parent
+        lab = lab[8]  # parent
     chain.reverse()
 
     steps = []
-    hold_start = chain[0].entry
-    for lab in chain:
-        if lab.via is None:
+    hold_start = -chain[0][2]  # the root's entry
+    for *_, parent, via in chain:
+        if via is None:
             continue  # a node source, a stage completion or the finishing marker
-        erid, dep, arr = lab.via
-        if lab.parent is not None:  # a root's via is the rest of its start edge
-            steps.append(Step(lab.parent.node, hold_start, dep))
+        erid, dep, arr = via
+        if parent is not None:  # a root's via is the rest of its start edge
+            steps.append(Step(parent[3], hold_start, dep))
         steps.append(Step(erid, dep, arr))
         hold_start = arr
-    steps.append(Step(done.node, hold_start, done.entry + final_stop))
+    steps.append(Step(done[3], hold_start, -done[2] + final_stop))
     return tuple(steps)
 
 
@@ -403,10 +403,10 @@ def multi_source_time_path(
             roots.append((agv, *root))
     done = _search(tg, roots, memos, stages, guide if bound is None else bound, earliest, allowed)
     if bound is not None and done is not None:
-        done = _search(tg, roots, memos, stages, guide, earliest, allowed, bound, done.entry)
+        done = _search(tg, roots, memos, stages, guide, earliest, allowed, bound, -done[2])
     if done is None:
         return None
-    return TimePath(done.agv, _emit(done, stages[-1].stop), done.entry)
+    return TimePath(done[5], _emit(done, stages[-1].stop), -done[2])
 
 
 def route_corridor(

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from agvtime import pathing
 from agvtime.graph import (
     Edge,
     InvalidParameterError,
@@ -343,26 +342,23 @@ def test_bound_leaves_random_races_unchanged():
     assert found >= 100
 
 
-def test_guided_plateau_runs_deep(monkeypatch):
+def test_guided_plateau_runs_deep():
     # On an empty grid every label on a shortest route has the same f; ties
     # broken toward the deepest label walk one route (47 labels here) where
-    # breadth-first ties would build 97.
-    built = []
-
-    class Counted(pathing._Label):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            built.append(1)
-            super().__init__(*args)
-
-    monkeypatch.setattr(pathing, "_Label", Counted)
+    # breadth-first ties would build 97. The guide runs once per pushed
+    # label, so its calls count the labels.
     g = build_grid(10, 10)
     stages = [Stage({rid_at(g, (8, 8))}, 0)]
-    guide = manhattan_guide(g, stages)
+    h = manhattan_guide(g, stages)
+    calls = []
+
+    def guide(node, stage):
+        calls.append(node)
+        return h(node, stage)
+
     p = time_path(TimeGraph(g), 1, SourceSpec(rid_at(g, (1, 1))), stages, guide=guide)
     assert p.arrival == 140
-    assert len(built) <= 50
+    assert len(calls) <= 50
 
 
 def test_search_is_deterministic():
@@ -486,3 +482,47 @@ def test_search_reads_each_gap_list_once(monkeypatch):
         assert p.steps == (Step(2, 5, 5), Step(4, 5, 25), Step(1, 25, 25))
         assert {agv for _, agv in reads} == {1, 2}
         assert max(reads.values()) == 1
+
+
+def test_search_work_is_pinned(monkeypatch):
+    # The guide calls, one per pushed label, and the tg.gaps_from reads of
+    # each search, hashed: the zero and the Manhattan guide over
+    # seeded_setup seeds 0-39, and the test_multi_source_* races bounded by
+    # nearest_target_guide. A change that only makes a label or a gap read
+    # cheaper must leave every search doing the same work in the same order.
+    calls = []
+    digest = hashlib.sha256()
+
+    def counted(h, tag):
+        def guide(node, stage):
+            calls.append((tag, node, stage))
+            return h(node, stage)
+
+        return guide
+
+    def pin(search, tg, *args, **kwargs):
+        calls.clear()
+        reads = counted_reads(monkeypatch, tg)
+        search(tg, *args, **kwargs)
+        digest.update(repr((calls, sorted(reads.items()))).encode())
+
+    for seed in range(40):
+        g, tg, _, src, stages = seeded_setup(seed)
+        for make_guide in (zero_guide, manhattan_guide):
+            pin(time_path, tg, 1, SourceSpec(src), stages, guide=counted(make_guide(g, stages), "g"))
+
+    g = line([10, 20])
+    stages = [Stage({1}, 0)]
+    sources = [(1, SourceSpec(0)), (2, SourceSpec(2))]
+    races = [(TimeGraph(g), sources, stages, 0)]
+    tg = TimeGraph(g)
+    tg.reserve(1, 2, 0, 40)
+    races.append((tg, sources, stages, 0))
+    stages = [Stage({3}, 0)]
+    sources = [(1, SourceSpec(4, elapsed=2)), (2, SourceSpec(6, elapsed=5))]
+    races.append((TimeGraph(line([10, 10, 10])), sources, stages, 3))
+    for tg, sources, stages, earliest in races:
+        guide = counted(zero_guide(tg.graph, stages), "g")
+        bound = counted(nearest_target_guide(tg.graph, stages), "b")
+        pin(multi_source_time_path, tg, sources, stages, earliest=earliest, guide=guide, bound=bound)
+    assert digest.hexdigest() == "b601438d21bff83883ad6576bb0c0d6619c672d5b550e2b6d4123e96ae89df36"

@@ -35,9 +35,10 @@ def main():
     show(tree, "AGV 2 releases: neighbours with equal holders merge back")
 
     tree.insert(4, 90, INF)
-    print(f"holders to infinity: {sorted(tree.holders_to_infinity())}")
-    gaps = tree.gap_query(3, 0, INF)
-    print(f"gaps for AGV 3 to infinity: {spans(gaps)}")
+    for agv in (4, 3):
+        gaps = tree.gap_query(agv, 0, INF)
+        print(f"gaps for AGV {agv} to infinity: {spans(gaps)}")
+    print("AGV 4's hold to infinity is free time for AGV 4 and closes AGV 3's last gap")
 
 
 if __name__ == "__main__":

@@ -51,12 +51,14 @@ class GapTree:
     touching neighbour only when agv alone holds it; a span that overlaps
     takes the general split, coalesce and splice path.
 
-    ``gaps_from`` builds an AGV's gaps from a given tick on afresh on every
-    call, in one index loop over the stored intervals that end after that
-    tick. An empty tree, a tree where nothing ends by that tick (no bisect)
-    and a tree where everything does (the one gap from that tick on, with no
-    scan) each take a fast path. A path search reads each (resource, AGV) pair once, from its
-    earliest tick, and keeps the result.
+    A tree has two reads. ``gaps_from`` is the planner's: it builds an AGV's
+    gaps from a given tick on afresh on every call, in one index loop over
+    the stored intervals that end after that tick. An empty tree, a tree
+    where nothing ends by that tick (no bisect) and a tree where everything
+    does (the one gap from that tick on, with no scan) each take a fast
+    path. A path search reads each (resource, AGV) pair once, from its
+    earliest tick, and keeps the result. ``gap_query`` is the audit's: the
+    AGV's gaps within one window [start, end).
 
     ``last_touched`` exposes how many stored intervals the most recent
     insert, remove or gap query examined, for locality assertions.
@@ -74,9 +76,6 @@ class GapTree:
 
     def __len__(self):
         return len(self._starts)
-
-    def __bool__(self):
-        return True
 
     def intervals(self):
         """All stored (start, end, ids) triples in start order."""
@@ -219,12 +218,6 @@ class GapTree:
         if cur < INF:
             gaps.append((cur, INF))
         return tuple(gaps)
-
-    def holders_to_infinity(self) -> frozenset[AgvId]:
-        """Ids holding a reservation that extends to INF, if any."""
-        if self._ends and self._ends[-1] == INF:
-            return self._ids[-1]
-        return frozenset()
 
     def dump(self) -> str:
         """Canonical text form: one ``start end id,id,...`` line per interval."""

@@ -6,13 +6,14 @@ hold from the route's first tick onward, the tick where ``Timetable`` cuts it
 too, and never touches anything earlier, which keeps all previously committed
 reservations intact.
 
-Each demand's route ends on a final anchor drawn with one ``rng.choice``.
-The draw is among the *ready* anchors: those free for the AGV from the
-plan's start tick to ``INF``, so no search has to wait out another AGV's
-hold that ends far in the future. When none is ready, the draw is among the
-*open* anchors, which no other AGV holds to ``INF``. Every ready anchor is
-open, so the routing guarantee, which only needs an open final anchor,
-holds either way.
+Each demand's route ends on a final anchor drawn with one ``rng.choice``,
+after one gap read per anchor: the AGV's gaps from the plan's start tick.
+The draw is among the *ready* anchors, whose one gap runs from that tick to
+``INF``, so no search has to wait out another AGV's hold that ends far in
+the future. When none is ready, the draw is among the *open* anchors, whose
+last gap reaches ``INF``: no other AGV holds them to ``INF``. Every ready
+anchor is open, so the routing guarantee, which only needs an open final
+anchor, holds either way.
 """
 
 from __future__ import annotations
@@ -214,14 +215,17 @@ def _plan(tg, g, agv, src_node, stages, preset, earliest):
 
 
 def choose_anchor(tg, anchors, agv, start, rng):
-    """One ``rng.choice`` among the sorted ``anchors`` that are free for
-    ``agv`` from ``start`` on, or among the open ones when none is."""
+    """One ``rng.choice`` among the sorted ``anchors`` that are ready for
+    ``agv``, or among the open ones when none is. With ``gaps`` the AGV's
+    gaps on an anchor from ``start``, it is open when ``gaps[-1]`` ends at
+    ``INF`` and ready when ``gaps`` is the one gap ``(start, INF)``."""
     ready, open_anchors = [], []
     free = ((start, INF),)
     for a in anchors:
-        if not (tg.holders_to_infinity(a) - {agv}):
+        gaps = tg.gaps_from(a, agv, start)
+        if gaps and gaps[-1][1] == INF:
             open_anchors.append(a)
-            if tg.gaps_from(a, agv, start) == free:
+            if gaps == free:
                 ready.append(a)
     return rng.choice(ready or open_anchors)
 

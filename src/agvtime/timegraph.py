@@ -71,9 +71,6 @@ class TimeGraph:
         for rid, agv, start, end in reservations:
             trees[rid].remove(agv, start, end)
 
-    def gap_query(self, resource: int, agv: AgvId, start, end):
-        return self.trees[resource].gap_query(agv, start, end)
-
     def gaps_from(self, resource: int, agv: AgvId, since):
         """agv's gaps on resource over [since, INF) as (start, end) tuples,
         the first clipped to start at ``since``. The planner's gap read: the
@@ -88,9 +85,6 @@ class TimeGraph:
         once that tracer wraps ``gaps_from`` instead."""
         return self.gaps_from(resource, agv, 0)
 
-    def holders_to_infinity(self, resource: int) -> frozenset[AgvId]:
-        return self.trees[resource].holders_to_infinity()
-
 
 def audit_safety(tg: TimeGraph, occupations) -> SafetyViolation | None:
     """First base-occupation conflict in ``occupations``, or None when clean.
@@ -103,7 +97,7 @@ def audit_safety(tg: TimeGraph, occupations) -> SafetyViolation | None:
     for agv, rid, start, end in occupations:
         if start == end:
             continue
-        if tg.gap_query(rid, agv, start, end) == [(start, end)]:
+        if tg.trees[rid].gap_query(agv, start, end) == [(start, end)]:
             continue
         others = set()
         for s, e, ids in tg.trees[rid].intervals():

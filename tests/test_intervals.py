@@ -84,7 +84,9 @@ def test_infinite_reservations():
     t.insert(3, 100, INF)
     assert t.gap_query(3, 0, INF) == [(0, INF)]
     assert t.gap_query(4, 0, INF) == [(0, 100)]
-    assert t.holders_to_infinity() == frozenset({3})
+    # AGV 3's hold to INF leaves its own last gap open and closes AGV 4's.
+    assert t.gaps_from(3, 150) == ((150, INF),)
+    assert t.gaps_from(4, 150) == ()
     t.insert(4, 50, 200)
     assert t.gap_query(5, 0, INF) == [(0, 50)]
     t.check_invariants()

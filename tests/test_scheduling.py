@@ -365,6 +365,42 @@ def test_final_anchor_falls_back_to_the_open_ones():
     assert picked == {held, free}
 
 
+def test_final_anchor_reads_one_gap_list_per_anchor(monkeypatch):
+    _, tg, anchors, held, free = anchor_choice_setup()
+    own, shared, late = anchors[0], anchors[1], anchors[3]
+    tg.remove_all([Reservation(own, 9, 0, INF), Reservation(late, 9, 0, 5000)])
+    tg.reserve(own, 1, 0, INF)
+    tg.reserve(shared, 1, 0, INF)
+    reads = []
+    real = tg.gaps_from
+
+    def gaps_from(rid, agv, since):
+        reads.append(rid)
+        return real(rid, agv, since)
+
+    monkeypatch.setattr(tg, "gaps_from", gaps_from)
+
+    def draws(choices):
+        picked = set()
+        for seed in range(40):
+            rng = random.Random(seed)
+            reads.clear()
+            picked.add(choose_anchor(tg, anchors, 1, 40, rng))
+            assert reads == anchors
+            assert drew_once(rng, seed, choices)
+        return picked
+
+    # AGV 1's own hold to INF leaves its anchor open and ready; the one it
+    # shares with AGV 9 is closed.
+    assert draws([own, free]) == {own, free}
+    # Once other AGVs hold them for a while, neither is ready; the draw falls
+    # back to the open anchors. The shared one is still not among them, nor
+    # the one free until AGV 9's hold to INF starts.
+    tg.reserve(own, 2, 0, 6000)
+    tg.reserve(free, 3, 0, 6000)
+    assert draws([own, held, free]) == {own, held, free}
+
+
 # Small seeded scenarios over every preset and both anchorisers, one of them
 # subdivided, each with demands.
 PINNED_PLANS = (

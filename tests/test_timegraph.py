@@ -1,5 +1,7 @@
 """Reservation bookkeeping across a resource graph, plus the safety audit."""
 
+import random
+
 import pytest
 
 from agvtime.graph import InvalidParameterError, build_grid
@@ -43,9 +45,9 @@ def test_gap_query_sees_own_as_free():
     tg = make_tg()
     tg.reserve(3, 7, 10, 20)
     tg.reserve(3, 8, 30, 40)
-    gaps = tg.gap_query(3, 7, 0, 50)
+    gaps = tg.trees[3].gap_query(7, 0, 50)
     assert gaps == [(0, 30), (40, 50)]
-    gaps = tg.gap_query(3, 9, 0, 50)
+    gaps = tg.trees[3].gap_query(9, 0, 50)
     assert gaps == [(0, 10), (20, 30), (40, 50)]
 
 
@@ -68,14 +70,28 @@ def test_gaps_full_follows_tree_changes():
     assert tg.gaps_from(6, 2, 25) == ((25, INF),)
 
 
-def test_holders_to_infinity():
-    tg = make_tg()
-    assert tg.holders_to_infinity(2) == frozenset()
-    tg.reserve(2, 4, 100, INF)
-    tg.reserve(2, 5, 100, INF)
-    assert tg.holders_to_infinity(2) == frozenset({4, 5})
-    tg.reserve(2, 6, 0, 10)
-    assert tg.holders_to_infinity(2) == frozenset({4, 5})
+def test_gaps_reach_infinity_unless_another_agv_holds_forever():
+    rng = random.Random(11)
+    tails = ((), (1,), (2,), (1, 2), (2, 3))  # who holds the resource to INF
+    seen = set()
+    for _ in range(300):
+        tg = make_tg()
+        for _ in range(rng.randint(0, 6)):
+            start = rng.randrange(0, 80)
+            tg.reserve(2, rng.choice((1, 2, 3)), start, start + rng.randint(1, 30))
+        for agv in rng.choice(tails):
+            tg.reserve(2, agv, rng.randrange(40, 120), INF)
+        stored = tg.trees[2].intervals()
+        forever = stored[-1][2] if stored and stored[-1][1] == INF else frozenset()
+        for agv in (1, 2, 3):
+            closed = bool(forever - {agv})
+            seen.add((agv in forever, closed))
+            for since in (0, rng.randrange(0, 160), 200):
+                gaps = tg.gaps_from(2, agv, since)
+                assert bool(gaps and gaps[-1][1] == INF) == (not closed), (stored, agv, since)
+    # (agv holds it to INF, closed): finite tails, others' hold only, agv's
+    # own hold alone, and one agv shares with another AGV.
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_dump_csv_rows():

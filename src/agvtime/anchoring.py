@@ -65,6 +65,43 @@ def _commit(tg, links, agv, path):
     tg.reserve_all(boundary_reservations(path.steps, links, agv))
 
 
+def _holder_for_good(tree, agv):
+    """The least AGV other than ``agv`` holding tree's resource to the end of
+    time, or None."""
+    spans = tree.intervals()
+    if not spans or spans[-1][1] != INF:
+        return None
+    return min((a for a in spans[-1][2] if a != agv), default=None)
+
+
+def blockers(tg: TimeGraph, placements: dict[AgvId, SourceSpec], stalled) -> dict:
+    """For each stalled AGV, one resource another AGV holds for good and that
+    holder: ``{agv: (name, holder)}``, the resource named as in
+    ``timetable.json``.
+
+    A breadth-first walk over resource adjacency from the AGV's start passes
+    every resource nobody else holds to the end of time and stops at those
+    someone does; the first one it meets is named, with its least other
+    holder. After a stall only open ended holds are left for good, so the
+    resources it passes are the ones the AGV could reach by waiting.
+    """
+    g = tg.graph
+    out = {}
+    for agv in sorted(stalled):
+        queue = [placements[agv].resource]
+        seen = set(queue)
+        for r in queue:
+            holder = _holder_for_good(tg.trees[r], agv)
+            if holder is not None:
+                out[agv] = (g.describe(r), holder)
+                break
+            near = g.incident[r] if g.is_node(r) else (g.edge_at(r).a, g.edge_at(r).b)
+            fresh = [q for q in sorted(near) if q not in seen]
+            seen.update(fresh)
+            queue.extend(fresh)
+    return out
+
+
 def naive_anchorise(
     tg: TimeGraph,
     links: GeoLinks,

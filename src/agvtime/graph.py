@@ -281,6 +281,15 @@ def spatial_path(g, frm, to, forbidden=frozenset(), guide="none"):
     both endpoints are nodes, or None when no path exists. ``guide`` picks the
     search heuristic: "none" (uniform) or "manhattan" (embedded
     uniform-weight graphs only).
+
+    The heap is keyed ``(f, -cost, v)``: among equal ``f`` the deepest node,
+    the one with the highest cost so far, pops first. Under the Manhattan
+    guide much of a leg's bounding box shares one ``f``, and this order runs
+    down one route across that plateau instead of widening over all of it
+    (Asai & Fukunaga, "Tie-Breaking Strategies for Cost-Optimal Best First
+    Search", JAIR 58, 2017). Both guides are consistent, so the first pop of
+    ``to`` still has the least cost. Under "none" ``f`` is the cost itself,
+    so ``-cost`` breaks no tie and nodes pop in cost, then id, order.
     """
     if frm == to:
         return [frm], 0
@@ -298,7 +307,8 @@ def spatial_path(g, frm, to, forbidden=frozenset(), guide="none"):
     parent = {}
     heap = [(h(frm), 0, frm)]
     while heap:
-        f, cost, v = heapq.heappop(heap)
+        f, neg, v = heapq.heappop(heap)
+        cost = -neg
         if v == to:
             path = [to]
             while path[-1] != frm:
@@ -316,6 +326,6 @@ def spatial_path(g, frm, to, forbidden=frozenset(), guide="none"):
             if nc < best.get(u, float("inf")):
                 best[u] = nc
                 parent[u] = (erid, v)
-                heapq.heappush(heap, (nc + h(u), nc, u))
+                heapq.heappush(heap, (nc + h(u), -nc, u))
     return None
 

@@ -22,7 +22,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .anchoring import greedy_anchorise, hold, naive_anchorise
+from .anchoring import blockers, greedy_anchorise, hold, naive_anchorise
 from .footprint import boundary_reservations
 from .graph import GeoLinks, InvalidParameterError, ResourceGraph
 from .intervals import INF, AgvId
@@ -48,9 +48,18 @@ ANCHORISERS = ("naive", "greedy")
 
 
 class StalledAnchorisation(RuntimeError):
-    def __init__(self, stalled):
+    """Anchorisation left ``stalled`` unparked; ``blocked`` maps each to one
+    resource another AGV holds for good and that holder, as
+    ``anchoring.blockers`` finds them."""
+
+    def __init__(self, stalled, blocked):
         self.stalled = frozenset(stalled)
-        super().__init__(f"anchorisation stalled for AGVs {sorted(stalled)}")
+        self.blocked = dict(blocked)
+        why = "; ".join(
+            f"AGV {agv} blocked by {name} held by AGV {holder}"
+            for agv, (name, holder) in sorted(self.blocked.items())
+        )
+        super().__init__(f"anchorisation stalled for AGVs {sorted(stalled)}" + (f": {why}" if why else ""))
 
 
 class NoPathFault(RuntimeError):
@@ -253,7 +262,7 @@ def build_timetable(
     else:
         parked = greedy_anchorise(tg, links, placements)
     if parked.stalled:
-        raise StalledAnchorisation(parked.stalled)
+        raise StalledAnchorisation(parked.stalled, blockers(tg, placements, parked.stalled))
 
     paths = {agv: [parked.paths[agv]] for agv in sorted(placements)}
     fleet = sorted(placements)

@@ -3,7 +3,10 @@
 The oracles deliberately share no code or data layout with the engine:
 TimelineOracle tracks one python set per tick, the schedule oracle does a
 breadth-first sweep over (resource, tick, stage) states, and shortest_ticks
-runs its own Dijkstra over the raw edge list. dump_csv and snapshot_before
+runs its own Dijkstra over the raw edge list. spatial_path_cost_first is
+the one exception: it is the corridor leg search with its former
+cost-first heap order, over the graph's own move lists, and the engine's
+deeper-first order must match it leg for leg. dump_csv and snapshot_before
 read a TimeGraph's stored intervals for equality and immutability checks.
 timetable_json is the standard library's rendering of a timetable, which
 Timetable.to_json must match byte for byte.
@@ -139,6 +142,45 @@ def shortest_ticks(graph, source):
             if u not in dist:
                 heapq.heappush(heap, (d + w, u))
     return dist
+
+
+def spatial_path_cost_first(g, frm, to, forbidden=frozenset(), guide="none"):
+    """``graph.spatial_path`` with its heap keyed ``(f, cost, v)``: among
+    equal ``f`` the cheaper node pops first, so a Manhattan-guided leg widens
+    across its whole equal-f plateau. Same arguments and result."""
+    if frm == to:
+        return [frm], 0
+    if to in forbidden or frm in forbidden:
+        return None
+    if guide == "manhattan":
+        tx, ty = g.coords[to]
+        h = lambda v: g.unit_weight * (abs(g.coords[v][0] - tx) + abs(g.coords[v][1] - ty))
+    else:
+        h = lambda v: 0
+    best = {frm: 0}
+    parent = {}
+    heap = [(h(frm), 0, frm)]
+    while heap:
+        f, cost, v = heapq.heappop(heap)
+        if v == to:
+            path = [to]
+            while path[-1] != frm:
+                erid, prev = parent[path[-1]]
+                path.append(erid)
+                path.append(prev)
+            path.reverse()
+            return path, cost
+        if cost > best.get(v, -1):
+            continue
+        for erid, u, w in g.moves[v]:
+            if u in forbidden:
+                continue
+            nc = cost + w
+            if nc < best.get(u, float("inf")):
+                best[u] = nc
+                parent[u] = (erid, v)
+                heapq.heappush(heap, (nc + h(u), nc, u))
+    return None
 
 
 def dump_csv(tg):

@@ -4,20 +4,23 @@ Each test checks one deliverable claim at its stated tolerance and prints a
 single pass line; run with -v (or -s for the lines) to read the scorecard.
 """
 
+import heapq
 import random
 import time
 
+import agvtime.graph
+import oracles
 from agvtime.anchoring import greedy_anchorise, naive_anchorise
 from agvtime.bench import bench_reservers, reservers_route
 from agvtime.footprint import WorkCounter, boundary_reservations, naive_reservations, normalise
-from agvtime.graph import ResourceGraph, Edge, build_adjacency_links, build_grid, subdivide
+from agvtime.graph import ResourceGraph, Edge, build_adjacency_links, build_grid, spatial_path, subdivide
 from agvtime.intervals import GapTree
 from agvtime.pathing import SourceSpec, Stage, manhattan_guide, time_path, zero_guide
 from agvtime.scenarios import generate, materialise
 from agvtime.scheduling import PRESETS, Timetable, build_timetable
 from agvtime.timegraph import TimeGraph, audit_safety
 
-from oracles import TimelineOracle, exhaustive_earliest_arrival
+from oracles import TimelineOracle, exhaustive_earliest_arrival, spatial_path_cost_first
 
 
 def canon(rs):
@@ -124,6 +127,41 @@ def test_boundary_work_trend_on_corner_route():
         ratios.append(sum(naive.per_step) / sum(boundary.per_step))
     assert all(b > a for a, b in zip(ratios, ratios[1:])), ratios
     print("PASS boundary work trend: naive/boundary = " + ", ".join(f"{r:.2f}" for r in ratios))
+
+
+class PopCounter:
+    """Stand-in for a module's ``heapq`` that counts pops."""
+
+    heappush = staticmethod(heapq.heappush)
+
+    def __init__(self):
+        self.pops = 0
+
+    def heappop(self, heap):
+        self.pops += 1
+        return heapq.heappop(heap)
+
+
+def test_corridor_leg_pops_fall_under_manhattan(monkeypatch):
+    # Deeper-first ties run each Manhattan-guided leg down one route across
+    # its equal-f plateau; the cost-first order widens over all of it. Under
+    # the zero guide f is the cost, so the two orders pop the same nodes.
+    g = subdivide(build_grid(14, 10), 2)
+    rng = random.Random(0)
+    interior = sorted(set(range(g.num_nodes)) - g.anchors)
+    legs = [(rng.choice(interior), rng.choice(interior)) for _ in range(300)]
+    pops = {}
+    for guide in ("none", "manhattan"):
+        deep, wide = PopCounter(), PopCounter()
+        monkeypatch.setattr(agvtime.graph, "heapq", deep)
+        monkeypatch.setattr(oracles, "heapq", wide)
+        for frm, to in legs:
+            got = spatial_path(g, frm, to, forbidden=g.anchors, guide=guide)
+            assert got == spatial_path_cost_first(g, frm, to, forbidden=g.anchors, guide=guide)
+        pops[guide] = (deep.pops, wide.pops)
+    assert pops["none"][0] == pops["none"][1], pops
+    assert 2 * pops["manhattan"][0] <= pops["manhattan"][1], pops
+    print(f"PASS corridor leg pops, deeper-first vs cost-first: {pops}")
 
 
 def test_anchorisation_guarantee_100_seeds_per_fleet_size():

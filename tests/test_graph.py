@@ -1,6 +1,7 @@
 """Grids, validity rules, subdivision, geographic links, spatial search."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,8 @@ from agvtime.graph import (
     subdivide,
     validate,
 )
+
+from oracles import spatial_path_cost_first
 
 
 def grid4():
@@ -220,6 +223,24 @@ def test_spatial_path_guides_agree():
             assert base[1] == other[1], (frm, to)
             # the guide never overestimates the exact unguided cost
             assert manhattan_bound(g, frm, to) <= base[1], (frm, to)
+
+
+def test_spatial_path_matches_cost_first_order_on_random_legs():
+    # Deeper-first pops could in principle give a node an equal-cost parent
+    # the cost-first order would not; every leg must come back the same.
+    rng = random.Random(22)
+    graphs = {}
+    for _ in range(300):
+        n, s = rng.randint(10, 30), rng.randint(1, 3)
+        if (n, s) not in graphs:
+            graphs[n, s] = subdivide(build_grid(n, 6), s)
+        g = graphs[n, s]
+        frm, to = rng.randrange(g.num_nodes), rng.randrange(g.num_nodes)
+        forbidden = g.anchors - {frm, to}
+        for guide in ("none", "manhattan"):
+            got = spatial_path(g, frm, to, forbidden=forbidden, guide=guide)
+            want = spatial_path_cost_first(g, frm, to, forbidden=forbidden, guide=guide)
+            assert got == want, (n, s, frm, to, guide)
 
 
 def test_directed_edges_one_way():

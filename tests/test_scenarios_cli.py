@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from operator import setitem
@@ -549,6 +550,30 @@ def test_cli_stalled_anchorisation_exit_code(tmp_path, capsys):
         assert code == EXIT_FAULT
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "stalled"
+
+
+def test_cli_stall_names_each_blocker(tmp_path, capsys):
+    # Four generated starts on the midpoints of one grid cell's sides block
+    # each other: every move off a midpoint meets another AGV's start pin.
+    for anchoriser in ("naive", "greedy"):
+        code = main(
+            ["run", "--grid", "8", "--agvs", "20", "--demands", "0", "--seed", "144",
+             "--subdivide", "2", "--link-radius", "2", "--anchoriser", anchoriser,
+             "--out", str(tmp_path / anchoriser)]
+        )
+        assert code == EXIT_FAULT
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "stalled"
+        head, _, why = err["detail"].partition(": ")
+        assert head == "anchorisation stalled for AGVs [1, 6, 8, 19]"
+        named = {}
+        for part in why.split("; "):
+            m = re.fullmatch(r"AGV (\d+) blocked by ([ne]\d+) held by AGV (\d+)", part)
+            assert m, part
+            named[int(m[1])] = int(m[3])
+        assert set(named) == {1, 6, 8, 19}
+        for agv, holder in named.items():
+            assert holder in named and holder != agv
 
 
 def test_cli_bench_reservers_smallest(tmp_path, capsys):

@@ -5,12 +5,17 @@ swaps that pin for the reservations of an actual journey ending in an open
 ended hold on some anchor. An anchor already pinned forever by someone else
 fails the route's final hold, so the target set can simply be every anchor.
 
-Every search is bounded by the exact travel ticks to the nearest anchor,
-built once per call: a first pass ordered by that distance finds the least
-arrival, and the usual zero-ordered pass then drops every label that cannot
-reach an anchor by it. The bound only cuts work; each search returns the
-path, and each run the result, that the unbounded search gives
-(``pathing``'s module docstring has the argument).
+Every search is bounded by the exact travel ticks to the nearest *open*
+anchor: a first pass ordered by that distance finds the least arrival, and
+the usual zero-ordered pass then drops every label that cannot reach an open
+anchor by it. After each commit the anchors in the parked AGV's final
+footprint ball close (``pathing.NearestTarget.close``): that AGV holds them
+to the end of time, and a route's final hold needs a window to the end of
+time, so no other AGV can finish on one. The distance to the nearest open
+anchor is thus still consistent and still a lower bound on every finishing
+route, only tighter than one to any anchor. The bound only cuts work; each
+search returns the path, and each run the result, that the unbounded search
+gives (``pathing``'s module docstring has the argument).
 """
 
 from __future__ import annotations
@@ -22,11 +27,11 @@ from .footprint import boundary_reservations
 from .graph import GeoLinks
 from .intervals import INF, AgvId
 from .pathing import (
+    NearestTarget,
     SourceSpec,
     Stage,
     TimePath,
     multi_source_time_path,
-    nearest_target_guide,
     time_path,
 )
 from .timegraph import Reservation, TimeGraph
@@ -115,7 +120,7 @@ def naive_anchorise(
     """
     g = tg.graph
     stages = [Stage(g.anchors, INF)]
-    bound = nearest_target_guide(g, stages)
+    nearest = NearestTarget(g, g.anchors)
     initialise_reservations(tg, links, placements)
     rng = random.Random(seed)
     pending = sorted(placements)
@@ -126,10 +131,11 @@ def naive_anchorise(
         progressed = False
         for agv in list(pending):
             attempts += 1
-            p = time_path(tg, agv, placements[agv], stages, bound=bound)
+            p = time_path(tg, agv, placements[agv], stages, bound=nearest.bound)
             if p is None:
                 continue
             _commit(tg, links, agv, p)
+            nearest.close(links.linked[p.steps[-1].resource])
             paths[agv] = p
             progressed = True
         pending = [a for a in pending if a not in paths]
@@ -146,7 +152,7 @@ def greedy_anchorise(
     """Race all unparked AGVs at once; the soonest finisher commits each round."""
     g = tg.graph
     stages = [Stage(g.anchors, INF)]
-    bound = nearest_target_guide(g, stages)
+    nearest = NearestTarget(g, g.anchors)
     initialise_reservations(tg, links, placements)
     pending = set(placements)
     paths: dict[AgvId, TimePath] = {}
@@ -154,10 +160,11 @@ def greedy_anchorise(
     while pending:
         attempts += 1
         sources = [(a, placements[a]) for a in sorted(pending)]
-        p = multi_source_time_path(tg, sources, stages, bound=bound)
+        p = multi_source_time_path(tg, sources, stages, bound=nearest.bound)
         if p is None:
             return AnchorResult(paths, frozenset(pending), attempts)
         _commit(tg, links, p.agv, p)
+        nearest.close(links.linked[p.steps[-1].resource])
         paths[p.agv] = p
         pending.discard(p.agv)
     return AnchorResult(paths, frozenset(), attempts)

@@ -35,8 +35,12 @@ entry tick itself, so ``-entry`` breaks no tie: labels leave in entry order,
 then later stage, then lower node id, then push order.
 
 A race may also carry a bound: a consistent guide that never orders the
-search, only cuts it (anchorisation passes the exact distance to the nearest
-anchor). The race then runs twice over one gap memo, so each (resource, AGV)
+search, only cuts it, and never exceeds the ticks still to go on any route
+that can finish. Anchorisation passes the exact distance to the nearest
+*open* anchor (``NearestTarget``): an anchor another AGV holds to the end of
+time ends no route, since the final stage's infinite stop needs a window to
+the end of time, so closing it keeps the bound below every finishing route.
+The race then runs twice over one gap memo, so each (resource, AGV)
 gap list is still read once. The first pass, ordered by the bound, finds the
 least arrival f*. The second pass is the usual search, ordered by the usual
 guide, that drops every label whose ``entry + bound`` exceeds f*, and skips a
@@ -183,30 +187,72 @@ def manhattan_guide(g: ResourceGraph, stages) -> GuideFn:
     return h
 
 
+class NearestTarget:
+    """Travel ticks from each node to the nearest *open* target, kept exact
+    as targets close.
+
+    One reverse multi-source Dijkstra over ``g.moves``; a node that reaches
+    no open target gets INF. Each node records the target its shortest path
+    ends on, its root. ``close`` resets only the nodes rooted at a closed
+    target, seeds them from their other successors and reruns Dijkstra over
+    them: closing only raises distances, so a node rooted at an open target
+    keeps its exact distance, and its whole path, which shares that root.
+
+    ``open`` holds the targets still open. ``bound`` is the guide: the
+    distance on the first stage, 0 from the second on. Consistent after
+    every ``close``: 0 on every open target, ``h(u) <= w + h(v)`` on every
+    move.
+    """
+
+    def __init__(self, g: ResourceGraph, targets):
+        self._moves = g.moves
+        self._into = [[] for _ in range(g.num_nodes)]
+        for u, out in enumerate(g.moves):
+            for _, v, w in out:
+                self._into[v].append((u, w))
+        self.open = set(targets)
+        dist = self._dist = [INF] * g.num_nodes
+        self._root = [None] * g.num_nodes
+        self._settle([(0, t, t) for t in sorted(self.open)])
+        self.bound: GuideFn = lambda node, stage: dist[node] if stage == 0 else 0
+
+    def _settle(self, heap):
+        """Dijkstra from ``heap``'s (ticks, node, root) seeds; a node keeps
+        its first, least, pop."""
+        dist, root, into = self._dist, self._root, self._into
+        heapq.heapify(heap)
+        while heap:
+            d, v, r = heapq.heappop(heap)
+            if dist[v] <= d:
+                continue
+            dist[v], root[v] = d, r
+            for u, w in into[v]:
+                if d + w < dist[u]:
+                    heapq.heappush(heap, (d + w, u, r))
+
+    def close(self, resources) -> None:
+        """Stop counting every open target among ``resources`` as one."""
+        shut = self.open.intersection(resources)
+        if not shut:
+            return
+        self.open -= shut
+        dist, root = self._dist, self._root
+        reset = [v for v, r in enumerate(root) if r in shut]
+        for v in reset:
+            dist[v], root[v] = INF, None
+        seeds = []
+        for u in reset:
+            for _, v, w in self._moves[u]:
+                if dist[v] < INF:  # rooted at an open target, so exact
+                    seeds.append((dist[v] + w, u, root[v]))
+        self._settle(seeds)
+
+
 def nearest_target_guide(g: ResourceGraph, stages) -> GuideFn:
     """Travel ticks to the nearest target of the first stage, and 0 from the
     second stage on: exact for a one-stage route such as anchorisation's.
-
-    One reverse multi-source Dijkstra over ``g.moves``; a node that reaches
-    no target gets INF. Consistent: 0 on every target, ``h(u) <= w + h(v)``
-    on every move.
-    """
-    into = [[] for _ in range(g.num_nodes)]
-    for u, out in enumerate(g.moves):
-        for _, v, w in out:
-            into[v].append((u, w))
-    dist = [INF] * g.num_nodes
-    heap = [(0, t) for t in sorted(stages[0].targets)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if dist[v] <= d:
-            continue
-        dist[v] = d
-        for u, w in into[v]:
-            if d + w < dist[u]:
-                heapq.heappush(heap, (d + w, u))
-
-    return lambda node, stage: dist[node] if stage == 0 else 0
+    Consistent: 0 on every target, ``h(u) <= w + h(v)`` on every move."""
+    return NearestTarget(g, stages[0].targets).bound
 
 
 def _source_label(tg: TimeGraph, memo: dict, agv: AgvId, spec: SourceSpec, earliest: int):

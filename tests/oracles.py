@@ -6,8 +6,12 @@ breadth-first sweep over (resource, tick, stage) states, and shortest_ticks
 runs its own Dijkstra over the raw edge list. spatial_path_cost_first is
 the one exception: it is the corridor leg search with its former
 cost-first heap order, over the graph's own move lists, and the engine's
-deeper-first order must match it leg for leg. dump_csv and snapshot_before
-read a TimeGraph's stored intervals for equality and immutability checks.
+deeper-first order must match it leg for leg. The two anchorisers are the
+others: naive_anchorise_fixed_bound and greedy_anchorise_fixed_bound are the
+engine's loops with the race bound built once over every anchor, which the
+engine's nearest-open-anchor bound must match result for result.
+dump_csv and snapshot_before read a TimeGraph's stored intervals for
+equality and immutability checks, and counted_reads counts its gap reads.
 timetable_json is the standard library's rendering of a timetable, which
 Timetable.to_json must match byte for byte.
 """
@@ -15,8 +19,12 @@ Timetable.to_json must match byte for byte.
 import heapq
 import io
 import json
+import random
 
+from agvtime.anchoring import AnchorResult, hold, initialise_reservations
+from agvtime.footprint import boundary_reservations
 from agvtime.intervals import INF, fmt_tick
+from agvtime.pathing import Stage, multi_source_time_path, nearest_target_guide, time_path
 
 
 class TimelineOracle:
@@ -181,6 +189,76 @@ def spatial_path_cost_first(g, frm, to, forbidden=frozenset(), guide="none"):
                 parent[u] = (erid, v)
                 heapq.heappush(heap, (nc + h(u), nc, u))
     return None
+
+
+def _commit(tg, links, agv, path):
+    """Swap agv's start pin for its path, as the engine's anchorisers do."""
+    first = path.steps[0]
+    tg.remove_all(hold(links, agv, first.resource, first.start))
+    tg.reserve_all(boundary_reservations(path.steps, links, agv))
+
+
+def naive_anchorise_fixed_bound(tg, links, placements, *, seed=0):
+    """``anchoring.naive_anchorise`` with every search bounded by the ticks
+    to the nearest anchor, parked on or not, built once per call."""
+    g = tg.graph
+    stages = [Stage(g.anchors, INF)]
+    bound = nearest_target_guide(g, stages)
+    initialise_reservations(tg, links, placements)
+    rng = random.Random(seed)
+    pending = sorted(placements)
+    paths = {}
+    attempts = 0
+    while pending:
+        rng.shuffle(pending)
+        progressed = False
+        for agv in list(pending):
+            attempts += 1
+            p = time_path(tg, agv, placements[agv], stages, bound=bound)
+            if p is None:
+                continue
+            _commit(tg, links, agv, p)
+            paths[agv] = p
+            progressed = True
+        pending = [a for a in pending if a not in paths]
+        if not progressed:
+            return AnchorResult(paths, frozenset(pending), attempts)
+    return AnchorResult(paths, frozenset(), attempts)
+
+
+def greedy_anchorise_fixed_bound(tg, links, placements):
+    """``anchoring.greedy_anchorise`` with every race bounded by the ticks to
+    the nearest anchor, parked on or not, built once per call."""
+    g = tg.graph
+    stages = [Stage(g.anchors, INF)]
+    bound = nearest_target_guide(g, stages)
+    initialise_reservations(tg, links, placements)
+    pending = set(placements)
+    paths = {}
+    attempts = 0
+    while pending:
+        attempts += 1
+        sources = [(a, placements[a]) for a in sorted(pending)]
+        p = multi_source_time_path(tg, sources, stages, bound=bound)
+        if p is None:
+            return AnchorResult(paths, frozenset(pending), attempts)
+        _commit(tg, links, p.agv, p)
+        paths[p.agv] = p
+        pending.discard(p.agv)
+    return AnchorResult(paths, frozenset(), attempts)
+
+
+def counted_reads(monkeypatch, tg):
+    """Per (resource, agv) count of ``tg.gaps_from`` calls from now on."""
+    reads = {}
+    real = tg.gaps_from
+
+    def gaps_from(rid, agv, since):
+        reads[rid, agv] = reads.get((rid, agv), 0) + 1
+        return real(rid, agv, since)
+
+    monkeypatch.setattr(tg, "gaps_from", gaps_from)
+    return reads
 
 
 def dump_csv(tg):

@@ -14,6 +14,7 @@ from agvtime.graph import (
 )
 from agvtime.intervals import INF
 from agvtime.pathing import (
+    NearestTarget,
     SourceSpec,
     Stage,
     Step,
@@ -26,7 +27,7 @@ from agvtime.pathing import (
 )
 from agvtime.timegraph import TimeGraph, audit_safety
 
-from oracles import exhaustive_earliest_arrival, shortest_ticks
+from oracles import counted_reads, exhaustive_earliest_arrival, shortest_ticks
 
 
 def line(weights, anchors=()):
@@ -170,14 +171,7 @@ def test_manhattan_guide_values():
 
 
 def test_nearest_target_guide_is_exact_and_consistent():
-    # 0 -> 1 -> 2 -> 0 is a directed cycle; 3 reaches anchor 4 only one way
-    # and 5 reaches no anchor at all.
-    directed = ResourceGraph(
-        6,
-        [Edge(0, 1, 3, True), Edge(1, 2, 4, True), Edge(2, 0, 5, True), Edge(2, 3, 2),
-         Edge(3, 4, 7, True), Edge(4, 5, 2, True)],
-        anchors={0, 4},
-    )
+    directed = directed_cycle_graph()
     for g in (build_grid(6, 10), subdivide(build_grid(5, 6), 3), directed):
         h = nearest_target_guide(g, [Stage(g.anchors, INF)])
         for u in range(g.num_nodes):
@@ -190,6 +184,79 @@ def test_nearest_target_guide_is_exact_and_consistent():
                 assert h(u, 0) <= w + h(v, 0), (u, v)
     h = nearest_target_guide(directed, [Stage(directed.anchors, INF)])
     assert [h(u, 0) for u in range(6)] == [0, 9, 5, 7, 0, INF]
+
+
+def directed_cycle_graph():
+    # 0 -> 1 -> 2 -> 0 is a directed cycle; 3 reaches anchor 4 only one way
+    # and 5 reaches no anchor at all.
+    return ResourceGraph(
+        6,
+        [Edge(0, 1, 3, True), Edge(1, 2, 4, True), Edge(2, 0, 5, True), Edge(2, 3, 2),
+         Edge(3, 4, 7, True), Edge(4, 5, 2, True)],
+        anchors={0, 4},
+    )
+
+
+def random_graph(rng, n):
+    """n nodes on a ring plus random chords, some directed, weights 1-4 so
+    that many nodes have shortest paths of equal length to two targets."""
+    edges = [Edge(i, (i + 1) % n, rng.randint(1, 4), rng.random() < 0.3) for i in range(n)]
+    for _ in range(n):
+        a, b = rng.sample(range(n), 2)
+        edges.append(Edge(a, b, rng.randint(1, 4), rng.random() < 0.3))
+    return ResourceGraph(n, edges, anchors=())
+
+
+def assert_exact_and_consistent(g, h, targets):
+    fresh = nearest_target_guide(g, [Stage(targets, INF)])
+    assert [h(u, 0) for u in range(g.num_nodes)] == [fresh(u, 0) for u in range(g.num_nodes)]
+    assert all(h(u, 1) == 0 for u in range(g.num_nodes))
+    for u, out in enumerate(g.moves):
+        for _, v, w in out:
+            assert h(u, 0) <= w + h(v, 0), (u, v)
+
+
+def test_nearest_target_close_stays_exact_and_consistent():
+    # Targets close a few at a time, as anchorisation closes a parked AGV's
+    # footprint ball; after each close the bound must equal a fresh build
+    # over the targets still open.
+    rng = random.Random(7)
+    graphs = [directed_cycle_graph()]
+    for _ in range(6):
+        graphs.append(build_grid(rng.randint(4, 8), rng.choice((1, 2, 10))))
+        graphs.append(subdivide(build_grid(rng.randint(4, 6), 6), rng.choice((2, 3))))
+        graphs.append(random_graph(rng, rng.randint(8, 40)))
+    for g in graphs:
+        nodes = list(range(g.num_nodes))
+        targets = set(g.anchors) or set(rng.sample(nodes, max(2, g.num_nodes // 4)))
+        nearest = NearestTarget(g, targets)
+        h = nearest.bound
+        assert_exact_and_consistent(g, h, targets)
+        # A non-target node and every edge resource change nothing.
+        others = [u for u in nodes if u not in targets]
+        nearest.close(others[:3] + list(range(g.num_nodes, g.num_resources)))
+        assert_exact_and_consistent(g, h, targets)
+        while targets:
+            shut = set(rng.sample(sorted(targets), rng.randint(1, min(3, len(targets)))))
+            # Closed targets and non-targets ride along and change nothing.
+            rest = [u for u in nodes if u not in targets]
+            nearest.close(shut | set(rng.sample(rest, min(2, len(rest)))))
+            targets -= shut
+            assert nearest.open == targets
+            assert_exact_and_consistent(g, h, targets)
+        assert all(h(u, 0) == INF for u in nodes)
+        nearest.close(nodes)  # nothing left to close
+        assert all(h(u, 0) == INF for u in nodes)
+
+
+def test_nearest_target_close_on_the_directed_graph():
+    g = directed_cycle_graph()
+    nearest = NearestTarget(g, g.anchors)
+    h = nearest.bound
+    nearest.close({4})
+    assert [h(u, 0) for u in range(6)] == [0, 9, 5, 7, INF, INF]
+    nearest.close({0, 5})
+    assert [h(u, 0) for u in range(6)] == [INF] * 6
 
 
 def seeded_setup(seed, weight=2):
@@ -437,19 +504,6 @@ def test_matches_exhaustive_search_from_later_tick():
                 assert p.steps[0].start == earliest, (seed, make_guide)
                 assert audit_safety(tg, p.occupations()) is None, (seed, make_guide)
     assert found >= 30
-
-
-def counted_reads(monkeypatch, tg):
-    """Per (resource, agv) count of ``tg.gaps_from`` calls from now on."""
-    reads = {}
-    real = tg.gaps_from
-
-    def gaps_from(rid, agv, since):
-        reads[rid, agv] = reads.get((rid, agv), 0) + 1
-        return real(rid, agv, since)
-
-    monkeypatch.setattr(tg, "gaps_from", gaps_from)
-    return reads
 
 
 def test_search_reads_each_gap_list_once(monkeypatch):

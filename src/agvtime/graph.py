@@ -101,11 +101,18 @@ class ResourceGraph:
         return f"e{rid - self.num_nodes}"
 
     def resource_id(self, token: str) -> int:
-        """Inverse of describe: 'n12' or 'e7' back to the unified id."""
-        if token.startswith("n"):
-            return int(token[1:])
-        if token.startswith("e"):
-            return self.num_nodes + int(token[1:])
+        """Inverse of describe: 'n12' or 'e7' back to the unified id.
+
+        Only tokens describe writes come back: a sign, a space, a leading
+        zero or an index past the node or edge count raises
+        InvalidParameterError.
+        """
+        base = {"n": 0, "e": self.num_nodes}.get(token[:1])
+        digits = token[1:]
+        if base is not None and digits.isascii() and digits.isdigit():
+            rid = base + int(digits)
+            if rid < self.num_resources and self.describe(rid) == token:
+                return rid
         raise InvalidParameterError(f"bad resource token {token!r}")
 
 

@@ -22,6 +22,17 @@ AgvId = int
 _ALL_FREE = ((0, INF),)  # gaps_from(agv, 0) of every empty tree
 
 
+class _SoloSets(dict):
+    """AGV id -> the one ``frozenset((agv,))`` every tree stores for it."""
+
+    def __missing__(self, agv):
+        own = self[agv] = frozenset((agv,))
+        return own
+
+
+_SOLO = _SoloSets()
+
+
 def fmt_tick(t) -> str:
     return "inf" if t == INF else str(t)
 
@@ -50,6 +61,12 @@ class GapTree:
     one bisect and writes such a span straight into its gap, merging a
     touching neighbour only when agv alone holds it; a span that overlaps
     takes the general split, coalesce and splice path.
+
+    Every single-holder id set a tree stores is the one ``frozenset((agv,))``
+    the module keeps for that AGV, shared by all trees, and
+    ``check_invariants`` asserts it. Nearly every stored interval is a
+    footprint span held by one AGV: a set of its own would cost it about 200
+    bytes, a shared one costs it a list slot.
 
     A tree has two reads. ``gaps_from`` is the planner's: it builds an AGV's
     gaps from a given tick on afresh on every call, in one index loop over
@@ -124,7 +141,7 @@ class GapTree:
         Re-inserting over the AGV's own reservations is idempotent.
         """
         starts, ends, idsets = self._starts, self._ends, self._ids
-        own = frozenset((agv,))
+        own = _SOLO[agv]
         lo = bisect_right(ends, start)
         if lo == len(starts) or starts[lo] >= end:
             # Overlaps nothing: write the span into its gap, merging a
@@ -157,7 +174,7 @@ class GapTree:
             if lo_t > cur:
                 pieces.append((cur, lo_t, own))
             hi_t = min(ke, end)
-            pieces.append((lo_t, hi_t, ids | own))
+            pieces.append((lo_t, hi_t, ids if agv in ids else ids | own))
             if ke > end:
                 pieces.append((end, ke, ids))
             cur = hi_t
@@ -175,6 +192,8 @@ class GapTree:
             if k < start:
                 pieces.append((k, start, ids))
             rest = ids - {agv}
+            if len(rest) == 1:
+                rest = _SOLO[next(iter(rest))]
             if rest:
                 pieces.append((max(k, start), min(ke, end), rest))
             if ke > end:
@@ -235,6 +254,9 @@ class GapTree:
             assert s != INF and s >= 0, f"non-finite or negative start {s}"
             assert s < e, f"empty stored interval [{s}, {e})"
             assert ids, f"empty id set at [{s}, {e})"
+            assert len(ids) > 1 or ids is _SOLO.get(next(iter(ids))), (
+                f"single-holder set at [{s}, {e}) is not its AGV's shared one"
+            )
             if prev_end is not None:
                 assert prev_end <= s, "stored intervals overlap"
                 assert not (prev_end == s and prev_ids == ids), (

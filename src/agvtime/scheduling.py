@@ -170,35 +170,38 @@ class Timetable:
         would write it, plus a newline, but written directly: ``indent``
         forces CPython's pure-Python encoder, several times slower.
 
+        Each AGV's rows are joined once into one string, and one final join
+        puts those strings between the fixed text around them: no text is
+        copied by ``+`` or an f-string, and at its peak the writer holds the
+        AGVs' strings, the result and the formatted rows of one AGV.
         Keys come in sorted order; infinite ticks are ``"inf"``. Resource
         names from ``describe`` are plain ASCII and need no escaping.
         """
         name = self.tg.graph.describe
-        agvs = []
+        parts = ['{\n  "agvs": [']
         for agv, steps in sorted(self.steps.items()):
-            rows = [
-                f'        {{\n          "end": {_tick(e)},\n'
+            rows = ",".join(
+                f'\n        {{\n          "end": {_tick(e)},\n'
                 f'          "resource": "{name(r)}",\n'
                 f'          "start": {_tick(s)}\n        }}'
                 for r, s, e in steps
-            ]
-            agvs.append(f'    {{\n      "id": {agv},\n      "steps": {_list(rows, "      ")}\n    }}')
-        return (
-            f'{{\n  "agvs": {_list(agvs, "  ")},\n  "metrics": {{\n'
-            f'    "makespan": {_tick(self.makespan())},\n'
-            f'    "total_distance": {self.total_distance()}\n  }}\n}}\n'
+            )
+            parts += (
+                "," if len(parts) > 1 else "",
+                f'\n    {{\n      "id": {agv},\n      "steps": [',
+                rows,
+                "\n      ]\n    }" if rows else "]\n    }",
+            )
+        parts += (
+            "\n  ]" if len(parts) > 1 else "]",
+            f',\n  "metrics": {{\n    "makespan": {_tick(self.makespan())},\n'
+            f'    "total_distance": {self.total_distance()}\n  }}\n}}\n',
         )
+        return "".join(parts)
 
 
 def _tick(t) -> str:
     return '"inf"' if t == INF else str(int(t))
-
-
-def _list(items, indent: str) -> str:
-    """JSON list text of already indented items, closing at ``indent``."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
 
 
 def metrics(tt: Timetable) -> dict:

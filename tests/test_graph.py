@@ -62,6 +62,16 @@ def test_grid_bad_params():
         build_grid(4, 0)
 
 
+def test_resource_id_reads_back_only_what_describe_writes():
+    g = build_grid(6, 10)  # 32 nodes, 40 edges
+    for rid in range(g.num_resources):
+        assert g.resource_id(g.describe(rid)) == rid
+    for token in ("n32", "e40", "e-1", "n-0", "n+3", "n 3", " n3", "n3 ", "n03", "e00", "n", "e",
+                  "x3", "", "N3", "n3.0", "n\u0663"):
+        with pytest.raises(InvalidParameterError):
+            g.resource_id(token)
+
+
 def test_validate_violations():
     g = grid4()
     v = validate(g, 9)

@@ -344,9 +344,10 @@ def test_cli_invalid_parameters_exit_code(tmp_path, capsys):
     assert code == EXIT_INVALID
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "invalid"
-    # an inverted, negative, never-starting or empty span, and an off-graph
-    # resource
-    for inject in ("n10,0,50,20", "n10,0,-5,5", "n10,0,inf,inf", "n10,0,5,5", "99999,0,0,5"):
+    # an inverted, negative, never-starting or empty span, an off-graph
+    # resource, and resource tokens describe never writes
+    for inject in ("n10,0,50,20", "n10,0,-5,5", "n10,0,inf,inf", "n10,0,5,5", "99999,0,0,5",
+                   "e-1,0,0,5", "n32,0,0,5", "n+3,0,0,5", "n 3,0,0,5", "n03,0,0,5"):
         code = main(
             ["run", "--grid", "6", "--agvs", "2", "--demands", "0",
              "--inject", inject, "--out", str(tmp_path / "inject")]

@@ -52,7 +52,8 @@ def hold(links: GeoLinks, agv: AgvId, rid: int, since) -> list[Reservation]:
     """agv's open ended hold on rid and its linked surroundings from ``since``:
     a start pin from tick 0, and what a path starting on rid at ``since``
     releases, its own footprint taking over from there."""
-    return [Reservation(r, agv, since, INF) for r in sorted(links.linked[rid])]
+    new = tuple.__new__
+    return [new(Reservation, (r, agv, since, INF)) for r in sorted(links.linked[rid])]
 
 
 def initialise_reservations(

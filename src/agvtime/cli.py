@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .bench import CSV_HEADER, SUITES, csv_row
 from .graph import InvalidParameterError
-from .intervals import fmt_tick, parse_tick
+from .intervals import INF, fmt_tick, parse_tick
 from .scenarios import Scenario, from_json, generate, materialise, to_json, validate_scenario
 from .scheduling import (
     ANCHORISERS,
@@ -111,24 +111,25 @@ def _load_scenario(knobs: dict) -> Scenario:
 
 def _parse_inject(g, text: str):
     """(resource id, agv, start, end) from RESOURCE,AGV,START,END; raises
-    InvalidParameterError on anything that is not on ``g`` or is not a
-    non-empty span [START, END) from a finite tick >= 0."""
-    parts = [p.strip() for p in text.split(",")]
+    InvalidParameterError on anything else. RESOURCE is a name as
+    ``timetable.json`` writes it (``n12``, ``e7``), on ``g``; AGV, START and
+    END are ticks as it writes them (ASCII digits, no sign, space or leading
+    zero), END may be ``inf``, and START < END."""
+    parts = text.split(",")
     if len(parts) != 4:
         raise InvalidParameterError("--inject wants RESOURCE,AGV,START,END")
     raw, agv, start, end = parts
     try:
-        rid = g.resource_id(raw) if raw[:1] in ("n", "e") else int(raw)
-        start, end = parse_tick(start), parse_tick(end)
-        agv = int(agv)
+        rid = g.resource_id(raw)
+        agv, start, end = parse_tick(agv), parse_tick(start), parse_tick(end)
     except ValueError as err:
         raise InvalidParameterError(f"--inject {text}: {err}") from err
-    if not 0 <= start < end:  # an inf START fails here too
+    if agv == INF:
+        raise InvalidParameterError(f"--inject {text}: AGV must be finite")
+    if not start < end:  # an inf START fails here too
         raise InvalidParameterError(
-            f"--inject {text}: wants 0 <= START < END, got [{fmt_tick(start)}, {fmt_tick(end)})"
+            f"--inject {text}: wants START < END, got [{fmt_tick(start)}, {fmt_tick(end)})"
         )
-    if not 0 <= rid < g.num_resources:
-        raise InvalidParameterError(f"--inject resource {raw!r} is not on the graph")
     return rid, agv, start, end
 
 

@@ -38,7 +38,14 @@ def fmt_tick(t) -> str:
 
 
 def parse_tick(s: str):
-    return INF if s == "inf" else int(s)
+    """Inverse of ``fmt_tick``: only what it writes comes back. A tick is
+    ``inf`` or ASCII digits with no sign, space or leading zero; anything
+    else raises ValueError."""
+    if s == "inf":
+        return INF
+    if s.isascii() and s.isdigit() and str(int(s)) == s:
+        return int(s)
+    raise ValueError(f"bad tick {s!r}")
 
 
 class GapTree:
@@ -74,8 +81,9 @@ class GapTree:
     where nothing ends by that tick (no bisect) and a tree where everything
     does (the one gap from that tick on, with no scan) each take a fast
     path. A path search reads each (resource, AGV) pair once, from its
-    earliest tick, and keeps the result. ``gap_query`` is the audit's: the
-    AGV's gaps within one window [start, end).
+    earliest tick, and keeps the result. ``is_free`` is the audit's: whether
+    one window [start, end) is a single gap for the AGV, decided without
+    building the gaps that ``gap_query``, the general window read, returns.
 
     ``last_touched`` exposes how many stored intervals the most recent
     insert, remove or gap query examined, for locality assertions.
@@ -210,6 +218,28 @@ class GapTree:
         lo, hi, stored = self._affected(start, end)
         self.last_touched = hi - lo
         return _free(agv, start, end, stored)
+
+    def is_free(self, agv: AgvId, start, end) -> bool:
+        """Whether ``gap_query(agv, start, end)`` is the one gap
+        ``[(start, end)]``: every tick of a non-empty [start, end) is
+        unreserved or held by agv alone. The audit's read, decided in one
+        walk from the first stored interval that ends after ``start``,
+        building no gaps. An empty or inverted span is never free.
+
+        The shared-set test is only a shortcut: a single-holder set that is
+        not the shared one is still read exactly.
+        """
+        if start >= end:
+            return False
+        starts, idsets = self._starts, self._ids
+        own = _SOLO.get(agv)
+        for i in range(bisect_right(self._ends, start), len(starts)):
+            if starts[i] >= end:
+                break
+            ids = idsets[i]
+            if ids is not own and (len(ids) != 1 or agv not in ids):
+                return False
+        return True
 
     def gaps_from(self, agv: AgvId, since) -> tuple:
         """``gap_query(agv, since, INF)`` as a tuple, built on every call from

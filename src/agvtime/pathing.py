@@ -383,7 +383,11 @@ def _search(
 
 
 def _emit(done, final_stop) -> tuple[Step, ...]:
-    """Fold the label chain into contiguous steps, merging same-node holds."""
+    """Fold the label chain into contiguous steps, merging same-node holds.
+
+    Steps are built by ``tuple.__new__``, which is what ``Step(...)`` does
+    after a Python-level ``__new__`` frame: half the cost per step.
+    """
     chain = []
     lab = done
     while lab is not None:
@@ -392,16 +396,19 @@ def _emit(done, final_stop) -> tuple[Step, ...]:
     chain.reverse()
 
     steps = []
+    append = steps.append
+    new = tuple.__new__
     hold_start = -chain[0][2]  # the root's entry
-    for *_, parent, via in chain:
+    for lab in chain:
+        via = lab[9]
         if via is None:
             continue  # a node source, a stage completion or the finishing marker
-        erid, dep, arr = via
-        if parent is not None:  # a root's via is the rest of its start edge
-            steps.append(Step(parent[3], hold_start, dep))
-        steps.append(Step(erid, dep, arr))
+        _, dep, arr = via
+        if lab[8] is not None:  # a root's via is the rest of its start edge
+            append(new(Step, (lab[8][3], hold_start, dep)))
+        append(new(Step, via))
         hold_start = arr
-    steps.append(Step(done[3], hold_start, -done[2] + final_stop))
+    append(new(Step, (done[3], hold_start, -done[2] + final_stop)))
     return tuple(steps)
 
 

@@ -141,7 +141,7 @@ class Timetable:
     def occupations(self):
         flat = []
         for agv, steps in sorted(self.steps.items()):
-            flat.extend((agv, s.resource, s.start, s.end) for s in steps)
+            flat.extend((agv, r, s, e) for r, s, e in steps)
         return flat
 
     def makespan(self):
@@ -150,10 +150,8 @@ class Timetable:
 
     def total_distance(self) -> int:
         """Ticks spent on edges over every AGV's timeline."""
-        g = self.tg.graph
-        return sum(
-            s.end - s.start for steps in self.steps.values() for s in steps if not g.is_node(s.resource)
-        )
+        num_nodes = self.tg.graph.num_nodes
+        return sum(e - s for steps in self.steps.values() for r, s, e in steps if r >= num_nodes)
 
     def is_anchored(self) -> bool:
         g = self.tg.graph
@@ -174,16 +172,20 @@ class Timetable:
         puts those strings between the fixed text around them: no text is
         copied by ``+`` or an f-string, and at its peak the writer holds the
         AGVs' strings, the result and the formatted rows of one AGV.
-        Keys come in sorted order; infinite ticks are ``"inf"``. Resource
-        names from ``describe`` are plain ASCII and need no escaping.
+        Keys come in sorted order; infinite ticks are ``"inf"``. Every
+        start is finite, and so is every end but an AGV's last: its steps
+        are contiguous. Resource names from ``describe`` are plain ASCII and
+        need no escaping; each is made once per call, on first use, so a
+        short timetable on a big graph makes no more of them than rows.
         """
-        name = self.tg.graph.describe
+        names = _Names(self.tg.graph.describe)
+        inf, inf_text = INF, '"inf"'
         parts = ['{\n  "agvs": [']
         for agv, steps in sorted(self.steps.items()):
             rows = ",".join(
-                f'\n        {{\n          "end": {_tick(e)},\n'
-                f'          "resource": "{name(r)}",\n'
-                f'          "start": {_tick(s)}\n        }}'
+                f'\n        {{\n          "end": {e if e != inf else inf_text},\n'
+                f'          "resource": "{names[r]}",\n'
+                f'          "start": {s}\n        }}'
                 for r, s, e in steps
             )
             parts += (
@@ -202,6 +204,18 @@ class Timetable:
 
 def _tick(t) -> str:
     return '"inf"' if t == INF else str(int(t))
+
+
+class _Names(dict):
+    """Resource id -> its ``describe`` name, made on first lookup."""
+
+    def __init__(self, describe):
+        super().__init__()
+        self.describe = describe
+
+    def __missing__(self, rid):
+        name = self[rid] = self.describe(rid)
+        return name
 
 
 def metrics(tt: Timetable) -> dict:

@@ -5,8 +5,9 @@ footprint expansions and the anchor holds build it, and ``reserve_all``
 unpacks it straight into the resource's tree.
 
 The audit re-derives safety from scratch: every occupation an AGV claims must
-come back as a single covering gap when that AGV queries the resource, which
-is exactly the condition its path search relied on. Footprint overlaps
+be a single gap for that AGV on its resource, which is exactly the condition
+its path search relied on. Each claim is decided in one walk over the stored
+intervals it overlaps, with no gaps built. Footprint overlaps
 between different AGVs are legal; only someone else's reservation crossing a
 base occupation is a conflict.
 """
@@ -90,17 +91,18 @@ def audit_safety(tg: TimeGraph, occupations) -> SafetyViolation | None:
     """First base-occupation conflict in ``occupations``, or None when clean.
 
     ``occupations`` yields (agv, resource, start, end) claims. Zero-length
-    claims are vacuous. A claim is safe when the AGV's own gap query on that
-    resource returns the claim itself: the gaps are clipped to the claim. An
-    inverted claim gets no gaps back, so it is reported, never passed.
+    claims are vacuous. A claim is safe when the claim itself is one gap for
+    the AGV on that resource, which is exactly the condition its path search
+    relied on: each stored interval it overlaps is held by that AGV alone.
+    ``GapTree.is_free`` decides that in one walk over those intervals. An
+    inverted claim is never free, so it is reported, never passed.
     """
+    trees = tg.trees
     for agv, rid, start, end in occupations:
-        if start == end:
-            continue
-        if tg.trees[rid].gap_query(agv, start, end) == [(start, end)]:
+        if start == end or trees[rid].is_free(agv, start, end):
             continue
         others = set()
-        for s, e, ids in tg.trees[rid].intervals():
+        for s, e, ids in trees[rid].intervals():
             if s < end and start < e:
                 others |= ids - {agv}
         return SafetyViolation(rid, agv, start, end, frozenset(others))

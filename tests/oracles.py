@@ -13,7 +13,9 @@ engine's nearest-open-anchor bound must match result for result.
 dump_csv and snapshot_before read a TimeGraph's stored intervals for
 equality and immutability checks, and counted_reads counts its gap reads.
 timetable_json is the standard library's rendering of a timetable, which
-Timetable.to_json must match byte for byte.
+Timetable.to_json must match byte for byte. audit_by_gap_query is the safety
+audit's former rule, a window gap query per claim, which audit_safety's
+one-walk read must match claim for claim.
 """
 
 import heapq
@@ -25,6 +27,7 @@ from agvtime.anchoring import AnchorResult, hold, initialise_reservations
 from agvtime.footprint import boundary_reservations
 from agvtime.intervals import INF, fmt_tick
 from agvtime.pathing import Stage, multi_source_time_path, nearest_target_guide, time_path
+from agvtime.timegraph import SafetyViolation
 
 
 class TimelineOracle:
@@ -319,3 +322,20 @@ def timetable_json(tt):
         "metrics": {"makespan": tick(tt.makespan()), "total_distance": distance},
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def audit_by_gap_query(tg, occupations):
+    """``audit_safety`` by its former rule: a non-empty claim is safe when the
+    claimant's gap query over it returns the claim itself."""
+    for agv, rid, start, end in occupations:
+        if start == end:
+            continue
+        tree = tg.trees[rid]
+        if tree.gap_query(agv, start, end) == [(start, end)]:
+            continue
+        others = set()
+        for s, e, ids in tree.intervals():
+            if s < end and start < e:
+                others |= ids - {agv}
+        return SafetyViolation(rid, agv, start, end, frozenset(others))
+    return None

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from agvtime.anchoring import hold
 from agvtime.footprint import (
     PathShapeError,
     WorkCounter,
@@ -13,7 +14,8 @@ from agvtime.footprint import (
 )
 from agvtime.graph import build_adjacency_links, build_grid, subdivide
 from agvtime.intervals import INF
-from agvtime.timegraph import Reservation
+from agvtime.pathing import SourceSpec, Stage, Step, time_path
+from agvtime.timegraph import Reservation, TimeGraph
 
 
 def canon(rs):
@@ -48,6 +50,23 @@ def test_non_contiguous_path_faults():
         boundary_reservations([(0, 0, 5), (1, 6, 9)], links, 1)
     with pytest.raises(PathShapeError):
         naive_reservations([(0, 5, 3)], links, 1)
+
+
+def test_planner_items_are_exactly_step_and_reservation():
+    # The planner builds these by tuple.__new__; readers use their fields
+    # (r.start, s.resource, and r.ivl in perfbench/check.py), so a plain
+    # tuple in their place must fail here.
+    g, links = linked_graph()
+    tg = TimeGraph(g)
+    v = sorted(set(range(g.num_nodes)) - g.anchors)[0]
+    path = time_path(tg, 1, SourceSpec(v), [Stage(g.anchors, INF)])
+    assert path.steps and all(type(s) is Step for s in path.steps)
+    for expand in (boundary_reservations, naive_reservations):
+        out = expand(path.steps, links, 1)
+        assert out and all(type(r) is Reservation for r in out), expand.__name__
+    held = hold(links, 1, v, 5)
+    assert held and all(type(r) is Reservation for r in held)
+    assert held[0].ivl.end == INF
 
 
 def test_normalise_merges_and_sorts():

@@ -345,9 +345,13 @@ def test_cli_invalid_parameters_exit_code(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "invalid"
     # an inverted, negative, never-starting or empty span, an off-graph
-    # resource, and resource tokens describe never writes
+    # resource, resource tokens describe never writes (a bare number among
+    # them), and AGVs and ticks with a sign, a space, a leading zero, a
+    # non-ASCII digit or an infinite AGV
     for inject in ("n10,0,50,20", "n10,0,-5,5", "n10,0,inf,inf", "n10,0,5,5", "99999,0,0,5",
-                   "e-1,0,0,5", "n32,0,0,5", "n+3,0,0,5", "n 3,0,0,5", "n03,0,0,5"):
+                   "e-1,0,0,5", "n32,0,0,5", "n+3,0,0,5", "n 3,0,0,5", "n03,0,0,5",
+                   "03,1,0,5", "+3,1,0,5", "n3,01,0,5", "n3,1,+0,5", "n3,1,0,\u0665",
+                   "n3,inf,0,5", "n3, 1,0,5"):
         code = main(
             ["run", "--grid", "6", "--agvs", "2", "--demands", "0",
              "--inject", inject, "--out", str(tmp_path / "inject")]

@@ -5,10 +5,10 @@ import random
 import pytest
 
 from agvtime.graph import InvalidParameterError, build_grid
-from agvtime.intervals import INF
+from agvtime.intervals import _SOLO, INF
 from agvtime.timegraph import Reservation, TimeGraph, audit_safety
 
-from oracles import dump_csv, snapshot_before
+from oracles import audit_by_gap_query, dump_csv, snapshot_before
 
 
 def make_tg():
@@ -148,3 +148,54 @@ def test_audit_catches_unbacked_claim():
     tg.reserve(9, 6, 5, 6)
     bad = audit_safety(tg, [(5, 9, 0, 6)])
     assert bad is not None and bad.others == frozenset({6})
+
+
+def test_audit_matches_the_gap_query_rule_on_random_trees():
+    # Claims ending on, starting at and straddling stored bounds, so spans
+    # touch; several holders per interval; zero-length and inverted claims;
+    # claims past the last stored end and up to INF; and, on some trees,
+    # single-holder sets that are fresh frozensets, not the shared ones.
+    rng = random.Random(25)
+    seen = {"clean": 0, "violation": 0, "shared": 0, "fresh": 0, "inverted": 0, "past": 0}
+    for trial in range(400):
+        tg = make_tg()
+        rids = rng.sample(range(len(tg.trees)), 3)
+        for _ in range(rng.randint(0, 8)):
+            start = rng.randrange(0, 60)
+            end = INF if rng.random() < 0.1 else start + rng.randint(1, 20)
+            tg.reserve(rng.choice(rids), rng.choice((1, 2, 3)), start, end)
+        seen["shared"] += any(len(ids) > 1 for rid in rids for _, _, ids in tg.trees[rid].intervals())
+        if trial % 3 == 0:
+            for rid in rids:
+                ids = tg.trees[rid]._ids
+                ids[:] = [frozenset(list(x)) if len(x) == 1 else x for x in ids]
+                seen["fresh"] += any(len(x) == 1 and x is not _SOLO[min(x)] for x in ids)
+        ticks = sorted({t for rid in rids for s, e, _ in tg.trees[rid].intervals() for t in (s, e) if t != INF})
+        ticks = ticks or [0]
+        claims = []
+        for _ in range(12):
+            rid = rng.choice(rids)
+            start = max(0, rng.choice(ticks) + rng.randint(-2, 2))
+            kind = rng.random()
+            if kind < 0.1:
+                end = start
+            elif kind < 0.2:
+                end = start - rng.randint(1, 5)
+                seen["inverted"] += end >= 0
+            elif kind < 0.3:
+                start, end = ticks[-1] + rng.randint(0, 3), INF
+                seen["past"] += 1
+            else:
+                end = max(start + 1, rng.choice(ticks) + rng.randint(-2, 2))
+            if end < 0:
+                end = start
+            claims.append((rng.choice((1, 2, 3)), rid, start, end))
+        for claim in claims:
+            agv, rid, start, end = claim
+            tree = tg.trees[rid]
+            assert tree.is_free(agv, start, end) == (tree.gap_query(agv, start, end) == [(start, end)])
+            want = audit_by_gap_query(tg, [claim])
+            assert audit_safety(tg, [claim]) == want, (claim, [tg.trees[r].dump() for r in rids])
+            seen["clean" if want is None else "violation"] += 1
+        assert audit_safety(tg, claims) == audit_by_gap_query(tg, claims)
+    assert all(n > 20 for n in seen.values()), seen

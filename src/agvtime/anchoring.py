@@ -8,14 +8,20 @@ fails the route's final hold, so the target set can simply be every anchor.
 Every search is bounded by the exact travel ticks to the nearest *open*
 anchor: a first pass ordered by that distance finds the least arrival, and
 the usual zero-ordered pass then drops every label that cannot reach an open
-anchor by it. After each commit the anchors in the parked AGV's final
+anchor by it. A greedy round's race admits its racers by that bound: the
+first pass builds a pending AGV's root, reading its start gaps, only once the
+AGV's start tick plus its distance is at most the least bound still queued,
+and the second pass starts just the AGVs whose distance allows the least
+arrival. So a round costs the racers that can still win, not every pending
+AGV. After each commit the anchors in the parked AGV's final
 footprint ball close (``pathing.NearestTarget.close``): that AGV holds them
 to the end of time, and a route's final hold needs a window to the end of
 time, so no other AGV can finish on one. The distance to the nearest open
 anchor is thus still consistent and still a lower bound on every finishing
-route, only tighter than one to any anchor. The bound only cuts work; each
-search returns the path, and each run the result, that the unbounded search
-gives (``pathing``'s module docstring has the argument).
+route, only tighter than one to any anchor. A close resets only the nodes
+whose nearest open anchor closed, which each anchor lists. The bound only
+cuts work; each search returns the path, and each run the result, that the
+unbounded search gives (``pathing``'s module docstring has both arguments).
 """
 
 from __future__ import annotations

@@ -12,7 +12,15 @@ from pathlib import Path
 from .bench import CSV_HEADER, SUITES, csv_row
 from .graph import InvalidParameterError
 from .intervals import INF, fmt_tick, parse_tick
-from .scenarios import Scenario, from_json, generate, materialise, to_json, validate_scenario
+from .scenarios import (
+    Scenario,
+    _graph_and_fleet,
+    from_json,
+    generate,
+    materialise,
+    to_json,
+    validate_scenario,
+)
 from .scheduling import (
     ANCHORISERS,
     PRESETS,
@@ -149,10 +157,11 @@ def cmd_run(opts: dict) -> int:
     out = opts.pop("out", ".")
     inject = opts.pop("inject", None)
     sc = _load_scenario(opts)
-    problem = validate_scenario(sc)
+    built = _graph_and_fleet(sc)  # once, for both checks and planning
+    problem = validate_scenario(sc, built)
     if problem is not None:
         raise InvalidParameterError(str(problem))
-    g, links, placements, demands = materialise(sc)
+    g, links, placements, demands = materialise(sc, built)
     if inject is not None:
         inject = _parse_inject(g, inject)
     tt = build_timetable(

@@ -40,12 +40,13 @@ that can finish. Anchorisation passes the exact distance to the nearest
 *open* anchor (``NearestTarget``): an anchor another AGV holds to the end of
 time ends no route, since the final stage's infinite stop needs a window to
 the end of time, so closing it keeps the bound below every finishing route.
-The race then runs twice over one gap memo, so each (resource, AGV)
-gap list is still read once. The first pass, ordered by the bound, finds the
-least arrival f*. The second pass is the usual search, ordered by the usual
-guide, that drops every label whose ``entry + bound`` exceeds f*, and skips a
-move before reading its windows when ``entry + w + bound(dest)`` already does.
-It returns the label the unbounded search would:
+The race then runs twice over one gap memo and one root label per racer, so
+each (resource, AGV) gap list is still read once. The first pass, ordered by
+the bound, finds the least arrival f*. The second pass is the usual search,
+ordered by the usual guide, that drops every label whose ``entry + bound``
+exceeds f*, and skips a move before reading its windows when
+``entry + w + bound(dest)`` already does. It returns the label the unbounded
+search would:
 
 - the bound is consistent, so ``entry + bound`` never falls from a label to
   its children: every label on the returned chain, which ends at f*, is kept,
@@ -56,6 +57,26 @@ It returns the label the unbounded search would:
 - so the second pass pops the unbounded search's kept labels in the same
   order, pushes their kept children in the same order (push order breaks the
   last ties), and returns the same label with the same parents.
+
+Racers are admitted by their bound, so a race costs the racers that can still
+win, not the whole fleet. Before any gap read each racer's root has a known
+first-pass ``f``, its *low*: ``earliest + bound(resource, 0)`` from a node,
+and ``earliest + weight - elapsed + bound(head, 0)`` from partway along an
+edge. The first pass takes racers by low, source order on ties, and builds
+and pushes a root (reading its start gaps) only once its low is at most the
+least ``f`` on the heap, or the heap is empty.
+The second pass pushes, in source order, just the roots whose low is at most
+f*. Both keep every result:
+
+- dominance keys carry the AGV, so each racer's labels meet only their own
+  dominance tests, and the bound is consistent, so every label grown from a
+  root has ``f`` at least its low: a racer still waiting when the first pass
+  pops a finished label at f* has a low above f* and cannot finish sooner,
+  so the first pass finds the same f*;
+- every racer with low at most f* has been admitted by then, so its root is
+  built; the second pass pushes exactly the roots the cut keeps (a root's
+  ``entry + bound`` is its low), in the same order, and a cut root takes no
+  push number, so every label, every tie and the returned path stay the same.
 """
 
 from __future__ import annotations
@@ -63,6 +84,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .graph import InvalidParameterError, ResourceGraph, spatial_path
@@ -193,10 +215,13 @@ class NearestTarget:
 
     One reverse multi-source Dijkstra over ``g.moves``; a node that reaches
     no open target gets INF. Each node records the target its shortest path
-    ends on, its root. ``close`` resets only the nodes rooted at a closed
-    target, seeds them from their other successors and reruns Dijkstra over
+    ends on, its root, and each open target lists the nodes rooted at it, its
+    members: the lists partition the nodes of finite distance. ``close``
+    resets only the members of the closed targets, drops their lists, seeds
+    the reset nodes from their other successors and reruns Dijkstra over
     them: closing only raises distances, so a node rooted at an open target
     keeps its exact distance, and its whole path, which shares that root.
+    So a close costs the nodes it resets, not a scan of every node.
 
     ``open`` holds the targets still open. ``bound`` is the guide: the
     distance on the first stage, 0 from the second on. Consistent after
@@ -213,19 +238,21 @@ class NearestTarget:
         self.open = set(targets)
         dist = self._dist = [INF] * g.num_nodes
         self._root = [None] * g.num_nodes
+        self._members = {t: [] for t in self.open}
         self._settle([(0, t, t) for t in sorted(self.open)])
         self.bound: GuideFn = lambda node, stage: dist[node] if stage == 0 else 0
 
     def _settle(self, heap):
         """Dijkstra from ``heap``'s (ticks, node, root) seeds; a node keeps
-        its first, least, pop."""
-        dist, root, into = self._dist, self._root, self._into
+        its first, least, pop and joins its root's members."""
+        dist, root, into, members = self._dist, self._root, self._into, self._members
         heapq.heapify(heap)
         while heap:
             d, v, r = heapq.heappop(heap)
             if dist[v] <= d:
                 continue
             dist[v], root[v] = d, r
+            members[r].append(v)
             for u, w in into[v]:
                 if d + w < dist[u]:
                     heapq.heappush(heap, (d + w, u, r))
@@ -237,7 +264,7 @@ class NearestTarget:
             return
         self.open -= shut
         dist, root = self._dist, self._root
-        reset = [v for v, r in enumerate(root) if r in shut]
+        reset = [v for t in shut for v in self._members.pop(t)]
         for v in reset:
             dist[v], root[v] = INF, None
         seeds = []
@@ -248,27 +275,18 @@ class NearestTarget:
         self._settle(seeds)
 
 
-def nearest_target_guide(g: ResourceGraph, stages) -> GuideFn:
-    """Travel ticks to the nearest target of the first stage, and 0 from the
-    second stage on: exact for a one-stage route such as anchorisation's.
-    Consistent: 0 on every target, ``h(u) <= w + h(v)`` on every move."""
-    return NearestTarget(g, stages[0].targets).bound
-
-
-def _source_label(tg: TimeGraph, memo: dict, agv: AgvId, spec: SourceSpec, earliest: int):
+def _source_label(tg: TimeGraph, memo: dict, agv: AgvId, spec: SourceSpec, head, earliest: int):
     """Root label (node, window start, window end, entry, via) for one AGV,
-    where ``via`` is the rest of its start edge's crossing when it starts
-    mid-edge; None when blocked."""
-    g = tg.graph
+    where ``head`` is ``check_source``'s and ``via`` is the rest of its start
+    edge's crossing when it starts mid-edge; None when blocked."""
     rid = spec.resource
-    head = check_source(g, spec)
     windows = memo[rid] = tg.gaps_from(rid, agv, earliest)
     if not windows or windows[0][0] > earliest:
         return None
     if head is None:
         return (rid, *windows[0], earliest, None)
     # The rest of the crossing, [earliest, tau), must lie in one window.
-    tau = earliest + (g.edge_at(rid).weight - spec.elapsed)
+    tau = earliest + (tg.graph.edge_at(rid).weight - spec.elapsed)
     if windows[0][1] < tau:
         return None
     memo[head] = tg.gaps_from(head, agv, earliest)
@@ -279,13 +297,17 @@ def _source_label(tg: TimeGraph, memo: dict, agv: AgvId, spec: SourceSpec, earli
 
 
 def _search(
-    tg: TimeGraph, roots, memos, stages, guide: GuideFn, earliest: int, allowed, bound=None, limit=INF
+    tg: TimeGraph, racers, roots, memos, stages, guide: GuideFn, earliest: int, allowed, bound=None, limit=INF
 ):
     """Best-first scan over gap windows; first finished label is optimal.
 
-    ``roots`` holds each startable AGV's (agv, node, window start, window
-    end, entry, via), and ``memos`` its gap memo. Returns the done label, or
-    None when no AGV can finish the route. A label is its own heap entry
+    ``racers`` lists (admit, agv, spec, head), ``head`` being
+    ``check_source``'s; ``roots`` holds each AGV's root label, or None when
+    blocked, once built, and ``memos`` its gap memo. A racer's root is built
+    (if not yet in ``roots``) and pushed, in list order, once its ``admit``
+    is at most the least ``f`` on the heap or the heap is empty; an
+    ``admit`` of -INF pushes it before the first pop. Returns the done label,
+    or None when no AGV can finish the route. A label is its own heap entry
     ``(f, -stage, -entry, node, seq, agv, wstart, wend, parent, via)``, where
     ``f`` is ``entry + guide``, ``parent`` is the popped entry it grew from
     and ``via`` the (edge rid, depart, arrive) crossing into it, or None.
@@ -318,10 +340,19 @@ def _search(
         best[key] = entry
         heappush(heap, (entry + guide(node, stage), -stage, -entry, node, next(seq), agv, wstart, wend, parent, via))
 
-    for agv, node, ws, we, entry, via in roots:
-        push(agv, node, ws, we, entry, 0, None, via)
-
-    while heap:
+    admitted, waiting = 0, len(racers)
+    while True:
+        while admitted < waiting and (not heap or racers[admitted][0] <= heap[0][0]):
+            _, agv, spec, head = racers[admitted]
+            admitted += 1
+            if agv not in roots:
+                roots[agv] = _source_label(tg, memos[agv], agv, spec, head, earliest)
+            root = roots[agv]
+            if root is not None and (allowed is None or root[0] in allowed):
+                node, ws, we, entry, via = root
+                push(agv, node, ws, we, entry, 0, None, via)
+        if not heap:
+            return None
         lab = heappop(heap)
         _, stage, entry, node, _, agv, wstart, wend, _, _ = lab
         stage, entry = -stage, -entry
@@ -379,7 +410,6 @@ def _search(
                     best[key] = arr
                     nxt = (arr + guide(dest, stage), -stage, -arr, dest, next(seq), agv, ds, de, lab, (erid, dep, arr))
                     heappush(heap, nxt)
-    return None
 
 
 def _emit(done, final_stop) -> tuple[Step, ...]:
@@ -445,18 +475,32 @@ def multi_source_time_path(
     one the race returns without it (see the module docstring).
     """
     check_stages(stages)
+    g = tg.graph
     if guide is None:
-        guide = zero_guide(tg.graph, stages)
-    memos = {}  # agv -> {resource: gap windows from earliest}, filled on first read
-    roots = []
+        guide = zero_guide(g, stages)
+    memos = {agv: {} for agv, _ in sources}  # agv -> {resource: gap windows from earliest}
+    roots = {}  # agv -> root label or None, built on admission
+    racers = []
     for agv, spec in sources:
-        memo = memos[agv] = {}
-        root = _source_label(tg, memo, agv, spec, earliest)
-        if root is not None and (allowed is None or root[0] in allowed):
-            roots.append((agv, *root))
-    done = _search(tg, roots, memos, stages, guide if bound is None else bound, earliest, allowed)
-    if bound is not None and done is not None:
-        done = _search(tg, roots, memos, stages, guide, earliest, allowed, bound, -done[2])
+        head = check_source(g, spec)
+        # The racer's low: its root's f in a bounded race's first pass, known
+        # before any gap read. Without a bound every root goes in at once.
+        if bound is None:
+            low = -INF
+        elif head is None:
+            low = earliest + bound(spec.resource, 0)
+        else:
+            low = earliest + (g.edge_at(spec.resource).weight - spec.elapsed) + bound(head, 0)
+        racers.append((low, agv, spec, head))
+    if bound is None:
+        done = _search(tg, racers, roots, memos, stages, guide, earliest, allowed)
+    else:
+        first = sorted(racers, key=itemgetter(0))  # stable: source order on ties
+        done = _search(tg, first, roots, memos, stages, bound, earliest, allowed)
+        if done is not None:
+            best = -done[2]
+            kept = [(-INF, *r[1:]) for r in racers if r[0] <= best]
+            done = _search(tg, kept, roots, memos, stages, guide, earliest, allowed, bound, best)
     if done is None:
         return None
     return TimePath(done[5], _emit(done, stages[-1].stop), -done[2])

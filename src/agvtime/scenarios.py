@@ -115,16 +115,23 @@ def _graph_and_fleet(sc: Scenario):
     return g, placements, demands
 
 
-def materialise(sc: Scenario):
-    """Build the runnable pieces: subdivided graph, links, placements, demands."""
-    g, placements, demands = _graph_and_fleet(sc)
+def materialise(sc: Scenario, built=None):
+    """Build the runnable pieces: subdivided graph, links, placements, demands.
+
+    ``built`` is ``_graph_and_fleet(sc)`` when the caller already has it.
+    """
+    g, placements, demands = _graph_and_fleet(sc) if built is None else built
     return g, build_adjacency_links(g, sc.link_radius), placements, demands
 
 
-def validate_scenario(sc: Scenario):
-    """Violation or error text if the scenario is unusable, else None."""
+def validate_scenario(sc: Scenario, built=None):
+    """Violation or error text if the scenario is unusable, else None.
+
+    ``built`` is ``_graph_and_fleet(sc)`` when the caller already has it;
+    its faults are then the caller's to report.
+    """
     try:
-        g, placements, demands = _graph_and_fleet(sc)
+        g, placements, demands = _graph_and_fleet(sc) if built is None else built
         check_plan(g, placements, demands, sc.preset, sc.anchoriser)
     except InvalidParameterError as err:
         return str(err)

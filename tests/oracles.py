@@ -9,7 +9,8 @@ cost-first heap order, over the graph's own move lists, and the engine's
 deeper-first order must match it leg for leg. The two anchorisers are the
 others: naive_anchorise_fixed_bound and greedy_anchorise_fixed_bound are the
 engine's loops with the race bound built once over every anchor, which the
-engine's nearest-open-anchor bound must match result for result.
+engine's nearest-open-anchor bound must match result for result;
+nearest_target_guide builds that fixed bound.
 dump_csv and snapshot_before read a TimeGraph's stored intervals for
 equality and immutability checks, and counted_reads counts its gap reads.
 timetable_json is the standard library's rendering of a timetable, which
@@ -26,7 +27,7 @@ import random
 from agvtime.anchoring import AnchorResult, hold, initialise_reservations
 from agvtime.footprint import boundary_reservations
 from agvtime.intervals import INF, fmt_tick
-from agvtime.pathing import Stage, multi_source_time_path, nearest_target_guide, time_path
+from agvtime.pathing import NearestTarget, Stage, multi_source_time_path, time_path
 from agvtime.timegraph import SafetyViolation
 
 
@@ -199,6 +200,13 @@ def _commit(tg, links, agv, path):
     first = path.steps[0]
     tg.remove_all(hold(links, agv, first.resource, first.start))
     tg.reserve_all(boundary_reservations(path.steps, links, agv))
+
+
+def nearest_target_guide(g, stages):
+    """Travel ticks to the nearest target of the first stage, and 0 from the
+    second stage on: exact for a one-stage route such as anchorisation's.
+    Consistent: 0 on every target, ``h(u) <= w + h(v)`` on every move."""
+    return NearestTarget(g, stages[0].targets).bound
 
 
 def naive_anchorise_fixed_bound(tg, links, placements, *, seed=0):

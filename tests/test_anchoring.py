@@ -13,6 +13,7 @@ from agvtime.anchoring import (
 from agvtime.footprint import normalise
 from agvtime.graph import Edge, ResourceGraph, build_adjacency_links, build_grid
 from agvtime.intervals import INF
+from agvtime import pathing
 from agvtime.pathing import SourceSpec
 from agvtime.scenarios import generate, materialise
 from agvtime.timegraph import TimeGraph, audit_safety
@@ -210,3 +211,26 @@ def test_open_anchor_bound_cuts_gap_reads(monkeypatch):
     assert greedy_anchorise(tg, links, placements).ok
     assert greedy_anchorise_fixed_bound(want_tg, links, placements).ok
     assert 3 * sum(got.values()) <= sum(want.values())
+
+
+def test_races_build_only_the_roots_their_bound_admits(monkeypatch):
+    # Greedy anchorisation of a seeded 20-AGV fleet: each round's race builds
+    # a root only for a racer whose bound does not exceed the least f still
+    # queued, 54 over the 20 rounds here against 210 = 20 + 19 + ... + 1
+    # for a root per pending AGV per round, and 514 gap reads against 670.
+    g, links, placements, _ = materialise(generate(grid=12, agvs=20, demands=0, seed=0))
+    built = 0
+    real = pathing._source_label
+
+    def source_label(*args):
+        nonlocal built
+        built += 1
+        return real(*args)
+
+    monkeypatch.setattr(pathing, "_source_label", source_label)
+    tg = TimeGraph(g)
+    reads = counted_reads(monkeypatch, tg)
+    res = greedy_anchorise(tg, links, placements)
+    assert res.ok and res.attempts == 20
+    assert built == 54
+    assert sum(reads.values()) == 514

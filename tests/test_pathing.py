@@ -20,14 +20,13 @@ from agvtime.pathing import (
     Step,
     manhattan_guide,
     multi_source_time_path,
-    nearest_target_guide,
     route_corridor,
     time_path,
     zero_guide,
 )
 from agvtime.timegraph import TimeGraph, audit_safety
 
-from oracles import counted_reads, exhaustive_earliest_arrival, shortest_ticks
+from oracles import counted_reads, exhaustive_earliest_arrival, nearest_target_guide, shortest_ticks
 
 
 def line(weights, anchors=()):
@@ -216,6 +215,16 @@ def assert_exact_and_consistent(g, h, targets):
             assert h(u, 0) <= w + h(v, 0), (u, v)
 
 
+def assert_members_partition(nearest, g):
+    # Each open target lists exactly the nodes rooted at it, the lists cover
+    # every node of finite distance once, and no closed target keeps a list.
+    assert nearest._members.keys() == nearest.open
+    listed = [v for members in nearest._members.values() for v in members]
+    assert sorted(listed) == [v for v in range(g.num_nodes) if nearest.bound(v, 0) < INF]
+    for t, members in nearest._members.items():
+        assert all(nearest._root[v] == t for v in members), t
+
+
 def test_nearest_target_close_stays_exact_and_consistent():
     # Targets close a few at a time, as anchorisation closes a parked AGV's
     # footprint ball; after each close the bound must equal a fresh build
@@ -232,10 +241,12 @@ def test_nearest_target_close_stays_exact_and_consistent():
         nearest = NearestTarget(g, targets)
         h = nearest.bound
         assert_exact_and_consistent(g, h, targets)
+        assert_members_partition(nearest, g)
         # A non-target node and every edge resource change nothing.
         others = [u for u in nodes if u not in targets]
         nearest.close(others[:3] + list(range(g.num_nodes, g.num_resources)))
         assert_exact_and_consistent(g, h, targets)
+        assert_members_partition(nearest, g)
         while targets:
             shut = set(rng.sample(sorted(targets), rng.randint(1, min(3, len(targets)))))
             # Closed targets and non-targets ride along and change nothing.
@@ -244,9 +255,11 @@ def test_nearest_target_close_stays_exact_and_consistent():
             targets -= shut
             assert nearest.open == targets
             assert_exact_and_consistent(g, h, targets)
+            assert_members_partition(nearest, g)
         assert all(h(u, 0) == INF for u in nodes)
         nearest.close(nodes)  # nothing left to close
         assert all(h(u, 0) == INF for u in nodes)
+        assert_members_partition(nearest, g)
 
 
 def test_nearest_target_close_on_the_directed_graph():
@@ -409,6 +422,33 @@ def test_bound_leaves_random_races_unchanged():
     assert found >= 100
 
 
+def test_race_admits_racers_by_their_bound(monkeypatch):
+    # 0 -e5- 1 -e6- 2 -e7- 3 -e8- 4, every edge 10 ticks, the target node 0.
+    # AGV 1 on node 1 finishes at 10; AGV 2 on node 4 (bound 40) and AGV 3,
+    # 2 ticks into e8 toward node 3 (bound 8 + 30), cannot beat that, so
+    # their roots are never built and their start gaps never read.
+    g = line([10, 10, 10, 10])
+    stages = [Stage({0}, INF)]
+    sources = [(2, SourceSpec(4)), (3, SourceSpec(8, elapsed=2, toward=3)), (1, SourceSpec(1))]
+    bound = nearest_target_guide(g, stages)
+    tg = TimeGraph(g)
+    reads = counted_reads(monkeypatch, tg)
+    got = race_result(tg, sources, stages, bound=bound)
+    assert got == (1, (Step(1, 0, 0), Step(5, 0, 10), Step(0, 10, INF)), 10)
+    assert {agv for _, agv in reads} == {1}
+    assert got == race_result(TimeGraph(g), sources, stages)
+    # With node 1 held by someone else until 20, AGV 1 cannot start: AGV 3
+    # is admitted next and wins at 38, its crossing leading its path, and
+    # AGV 2 is still never read; the unbounded race agrees.
+    tg = TimeGraph(g)
+    tg.reserve(1, 9, 0, 20)
+    reads = counted_reads(monkeypatch, tg)
+    got = race_result(tg, sources, stages, bound=bound)
+    assert got[0] == 3 and got[2] == 38 and got[1][0] == Step(8, 0, 8)
+    assert {agv for _, agv in reads} == {1, 3}
+    assert got == race_result(tg, sources, stages)
+
+
 def test_guided_plateau_runs_deep():
     # On an empty grid every label on a shortest route has the same f; ties
     # broken toward the deepest label walk one route (47 labels here) where
@@ -538,45 +578,70 @@ def test_search_reads_each_gap_list_once(monkeypatch):
         assert max(reads.values()) == 1
 
 
-def test_search_work_is_pinned(monkeypatch):
-    # The guide calls, one per pushed label, and the tg.gaps_from reads of
-    # each search, hashed: the zero and the Manhattan guide over
-    # seeded_setup seeds 0-39, and the test_multi_source_* races bounded by
-    # nearest_target_guide. A change that only makes a label or a gap read
-    # cheaper must leave every search doing the same work in the same order.
-    calls = []
+def counted(h, tag, calls):
+    """``h`` recording each call as (tag, node, stage) in ``calls``."""
+
+    def guide(node, stage):
+        calls.append((tag, node, stage))
+        return h(node, stage)
+
+    return guide
+
+
+def work_digest(monkeypatch, searches):
+    """sha256 over each search's guide calls, one per pushed label, and its
+    tg.gaps_from reads; ``searches`` yields (search, calls, tg, args, kwargs)."""
     digest = hashlib.sha256()
-
-    def counted(h, tag):
-        def guide(node, stage):
-            calls.append((tag, node, stage))
-            return h(node, stage)
-
-        return guide
-
-    def pin(search, tg, *args, **kwargs):
+    for search, calls, tg, args, kwargs in searches:
         calls.clear()
         reads = counted_reads(monkeypatch, tg)
         search(tg, *args, **kwargs)
         digest.update(repr((calls, sorted(reads.items()))).encode())
+    return digest.hexdigest()
 
-    for seed in range(40):
-        g, tg, _, src, stages = seeded_setup(seed)
-        for make_guide in (zero_guide, manhattan_guide):
-            pin(time_path, tg, 1, SourceSpec(src), stages, guide=counted(make_guide(g, stages), "g"))
 
-    g = line([10, 20])
-    stages = [Stage({1}, 0)]
-    sources = [(1, SourceSpec(0)), (2, SourceSpec(2))]
-    races = [(TimeGraph(g), sources, stages, 0)]
-    tg = TimeGraph(g)
-    tg.reserve(1, 2, 0, 40)
-    races.append((tg, sources, stages, 0))
-    stages = [Stage({3}, 0)]
-    sources = [(1, SourceSpec(4, elapsed=2)), (2, SourceSpec(6, elapsed=5))]
-    races.append((TimeGraph(line([10, 10, 10])), sources, stages, 3))
-    for tg, sources, stages, earliest in races:
-        guide = counted(zero_guide(tg.graph, stages), "g")
-        bound = counted(nearest_target_guide(tg.graph, stages), "b")
-        pin(multi_source_time_path, tg, sources, stages, earliest=earliest, guide=guide, bound=bound)
-    assert digest.hexdigest() == "b601438d21bff83883ad6576bb0c0d6619c672d5b550e2b6d4123e96ae89df36"
+def test_search_work_is_pinned(monkeypatch):
+    # The zero and the Manhattan guide over seeded_setup seeds 0-39. A change
+    # that only makes a label or a gap read cheaper must leave every search
+    # doing the same work in the same order. Digest taken before bounded
+    # races admitted their racers by bound, which these searches never are.
+    def searches():
+        calls = []
+        for seed in range(40):
+            g, tg, _, src, stages = seeded_setup(seed)
+            for make_guide in (zero_guide, manhattan_guide):
+                guide = counted(make_guide(g, stages), "g", calls)
+                yield time_path, calls, tg, (1, SourceSpec(src), stages), {"guide": guide}
+
+    assert work_digest(monkeypatch, searches()) == (
+        "bd1bbbd8148ee9000c2d978dc3204420e65d26254722e75cda264cd23cdd79b4"
+    )
+
+
+def test_race_work_is_pinned(monkeypatch):
+    # The test_multi_source_* races bounded by nearest_target_guide: the
+    # bound's calls (first pass and cuts) and the guide's, and the gap reads.
+    # Digest taken once racers were admitted by their bound.
+    def searches():
+        calls = []
+        g = line([10, 20])
+        stages = [Stage({1}, 0)]
+        sources = [(1, SourceSpec(0)), (2, SourceSpec(2))]
+        races = [(TimeGraph(g), sources, stages, 0)]
+        tg = TimeGraph(g)
+        tg.reserve(1, 2, 0, 40)
+        races.append((tg, sources, stages, 0))
+        stages = [Stage({3}, 0)]
+        sources = [(1, SourceSpec(4, elapsed=2)), (2, SourceSpec(6, elapsed=5))]
+        races.append((TimeGraph(line([10, 10, 10])), sources, stages, 3))
+        for tg, sources, stages, earliest in races:
+            kwargs = {
+                "earliest": earliest,
+                "guide": counted(zero_guide(tg.graph, stages), "g", calls),
+                "bound": counted(nearest_target_guide(tg.graph, stages), "b", calls),
+            }
+            yield multi_source_time_path, calls, tg, (sources, stages), kwargs
+
+    assert work_digest(monkeypatch, searches()) == (
+        "794f6eb9bf508915f01737bf0b19eb921e6460f70ad38014bf1d4b07b6fd7b84"
+    )

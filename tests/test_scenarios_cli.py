@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from agvtime import cli, scenarios
 from agvtime.anchoring import greedy_anchorise, naive_anchorise
 from agvtime.cli import EXIT_AUDIT, EXIT_FAULT, EXIT_INVALID, EXIT_OK, main
 from agvtime.graph import (
@@ -22,6 +23,7 @@ from agvtime.graph import (
     spatial_path,
     subdivide,
 )
+from agvtime.pathing import SourceSpec
 from agvtime.scenarios import (
     Scenario,
     from_json,
@@ -518,6 +520,67 @@ def test_cli_rejects_malformed_scenario_fields(tmp_path, case):
     assert len(lines) == 1, lines
     assert json.loads(lines[0])["error"] == "invalid"
     assert not (tmp_path / "out" / "timetable.json").exists()
+
+
+def test_cli_run_builds_each_scenario_once(tmp_path, capsys, monkeypatch):
+    # One run builds its scenario's graph, placements and demands once and
+    # hands them to both validate_scenario and materialise; called alone,
+    # each builds its own and reports every fault as before, so a bad file
+    # fails the run with the text validate_scenario gives it.
+    doc = json.loads(to_json(generate(grid=6, agvs=2, demands=3, seed=2, subdivisions=2)))
+    f = tmp_path / "scenario.json"
+    f.write_text(json.dumps(doc))
+    built, subdivided = 0, 0
+    real_build, real_subdivide = cli._graph_and_fleet, scenarios.subdivide
+
+    def graph_and_fleet(sc):
+        nonlocal built
+        built += 1
+        return real_build(sc)
+
+    def subdivide(*args):
+        nonlocal subdivided
+        subdivided += 1
+        return real_subdivide(*args)
+
+    monkeypatch.setattr(cli, "_graph_and_fleet", graph_and_fleet)
+    monkeypatch.setattr(scenarios, "subdivide", subdivide)
+    assert main(["run", "--scenario", str(f), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert (built, subdivided) == (1, 1)
+
+    sc = from_json(f.read_text())
+    assert validate_scenario(sc) is None
+    g, links, placements, demands = materialise(sc)
+    assert g.num_nodes == subdivide(build_grid(6, 10), 2).num_nodes
+    assert len(links.linked) == g.num_resources
+    assert placements == {p["agv"]: SourceSpec(p["resource"]) for p in doc["placements"]}
+    assert [d.id for d in demands] == [0, 1, 2]
+
+    bad = {name: change for name, change in MALFORMED.items() if name != "scenario-without-graph"}
+    bad["link-radius-zero"] = lambda doc: doc.update(link_radius=0)
+    bad["unknown-preset"] = lambda doc: doc.update(preset="no-such-preset")
+    bad["more-agvs-than-anchors"] = lambda doc: doc.update(
+        graph={"type": "explicit", "num_nodes": 3, "edges": [[0, 1, 10], [1, 2, 10]], "anchors": [0]},
+        placements=[{"agv": 1, "resource": 1}, {"agv": 2, "resource": 2}],
+        demands=[],
+        subdivisions=1,
+    )
+    capsys.readouterr()
+    for name, change in bad.items():
+        broken = json.loads(json.dumps(doc))
+        change(broken)
+        f.write_text(json.dumps(broken))
+        sc = from_json(f.read_text())
+        problem = validate_scenario(sc)
+        assert problem is not None, name
+        detail = str(problem)
+        try:
+            materialise(sc)
+        except InvalidParameterError as err:
+            assert str(err) == detail, name
+        assert main(["run", "--scenario", str(f), "--out", str(tmp_path / name)]) == EXIT_INVALID, name
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert [json.loads(line) for line in lines] == [{"error": "invalid", "detail": detail}], name
 
 
 def test_cli_runs_explicit_graph(tmp_path):

@@ -8,9 +8,11 @@ surroundings. The boundary expansion walks the path once, keeping a running
 footprint: a step off ``a`` onto ``b`` closes what ``linked[a]`` holds and
 ``linked[b]`` does not, and opens the reverse difference. Between neighbours
 both differences lie in the boundary shells, so per-step work scales with
-the shell size instead of the whole linked set. A run of zero-length steps
-fuses with the step after it into one transition, the difference of the
-balls at its two ends. Both expansions produce the same coverage;
+the shell size instead of the whole linked set. Each transition is the
+difference of the two balls, keyed by the resources stepped off and onto; a
+zero-length step other than the last is skipped, since the next step starts
+at the same tick. Both expansions check each walk once, in the same way, so
+they refuse the same malformed walks and produce the same coverage;
 ``normalise`` puts either output into the canonical merged form. Both emit
 the same flat ``Reservation`` tuple, built the same way, by
 ``tuple.__new__`` (what ``Reservation(...)`` does after a Python-level
@@ -42,26 +44,27 @@ class WorkCounter:
         self.per_step.append(n)
 
 
-def _checked_steps(steps):
-    """Validate the chain is contiguous and non-inverted; empties stay in.
+def _checked_steps(steps, linked):
+    """The steps as a list, once each is checked: not inverted, starting
+    where the previous one ended, on a resource in the previous one's ball.
 
-    Zero-length steps reserve nothing, but they carry the spatial links of
-    the walk: the boundary sweep needs consecutive path resources to be
-    linked, which an elided pass-through node could break.
+    Zero-length steps stay in: they reserve nothing, but they carry the
+    spatial links of the walk, which an elided pass-through node could break.
     """
-    out = []
-    prev_end = None
-    for step in steps:
-        rid, start, end = step
+    steps = list(steps)
+    prev = prev_end = None
+    for rid, start, end in steps:
         if start > end:
             raise PathShapeError(f"inverted step [{start}, {end}) on resource {rid}")
-        if prev_end is not None and prev_end != start:
-            raise PathShapeError(
-                f"path not contiguous: step on {rid} starts at {start}, previous ended at {prev_end}"
-            )
-        prev_end = end
-        out.append(step)
-    return out
+        if prev is not None:
+            if prev_end != start:
+                raise PathShapeError(
+                    f"path not contiguous: step on {rid} starts at {start}, previous ended at {prev_end}"
+                )
+            if rid not in linked[prev]:
+                raise PathShapeError(f"path steps between unlinked resources {prev} and {rid}")
+        prev, prev_end = rid, end
+    return steps
 
 
 def naive_reservations(steps, links: GeoLinks, agv: AgvId, counter: WorkCounter | None = None):
@@ -70,7 +73,7 @@ def naive_reservations(steps, links: GeoLinks, agv: AgvId, counter: WorkCounter 
     append = out.append
     linked = links.linked
     new = tuple.__new__
-    for rid, start, end in _checked_steps(steps):
+    for rid, start, end in _checked_steps(steps, linked):
         if start == end:
             continue
         for p in linked[rid]:
@@ -80,27 +83,12 @@ def naive_reservations(steps, links: GeoLinks, agv: AgvId, counter: WorkCounter 
     return out
 
 
-def _transition(links: GeoLinks, a, key):
-    """Exit and entry sets for a step off ``a``, memoised on ``links``.
-
-    ``key`` is the resource ``b`` stepped onto, or the tuple of resources a
-    fused run of instants spans, ending on ``b``; int and tuple keys share
-    a's row. Either way the exits are ``linked[a] - linked[b]`` and the
-    entries ``linked[b] - linked[a]``: a resource in both balls stays covered
-    through the instants, and one that only an instant's ball holds is
-    covered for no tick.
-    """
-    row = links.transitions.setdefault(a, {})
-    sets = row.get(key)
-    if sets is None:
-        linked = links.linked
-        path = key if type(key) is tuple else (key,)
-        for u, v in zip((a, *path), path):
-            if v not in linked[u]:
-                raise PathShapeError(f"path steps between unlinked resources {u} and {v}")
-        La, Lb = linked[a], linked[path[-1]]
-        # As tuples the memo takes a third of the memory frozensets would.
-        sets = row[key] = (tuple(La - Lb), tuple(Lb - La))
+def _transition(links: GeoLinks, a, b):
+    """Exits ``linked[a] - linked[b]`` and entries ``linked[b] - linked[a]``
+    of a step off ``a`` onto ``b``, memoised in ``links.transitions[a][b]``."""
+    La, Lb = links.linked[a], links.linked[b]
+    # As tuples the memo takes a third of the memory frozensets would.
+    sets = links.transitions.setdefault(a, {})[b] = (tuple(La - Lb), tuple(Lb - La))
     return sets
 
 
@@ -108,16 +96,17 @@ def boundary_reservations(steps, links: GeoLinks, agv: AgvId, counter: WorkCount
     """Single-sweep expansion tracking footprint entries and exits.
 
     Covers exactly what the naive expansion covers, already merged per
-    resource. The open set always equals the current footprint of the walk,
-    and each transition touches only the exact entry and exit sets, looked up
-    from a cache on ``links`` keyed by the resources stepped through: the
-    sets are static link geometry, so they amortise across paths. A run of
-    zero-length steps fuses with the step after it, or with the path's end,
-    into a single transition. So every transition but the first starts a
-    step of positive length or ends the path, and a span that one closes is
-    never touched by a later entry: no emitted reservation is rewritten.
+    resource. The open set always equals the current footprint of the walk;
+    each transition applies the exits and entries ``_transition`` memoises
+    on ``links``, static link geometry that amortises across paths. A
+    zero-length step but the last is skipped, as the next step starts at its
+    tick: a run of instants and the step ending it make one transition
+    between the balls around the run, and what only an instant's ball holds
+    is covered for no tick. So every transition but the first starts a step
+    of positive length or ends the path, and a span that one closes is never
+    touched by a later entry: no emitted reservation is rewritten.
     """
-    chain = _checked_steps(steps)
+    chain = _checked_steps(steps, links.linked)
     if not chain:
         return []
     out = []
@@ -133,19 +122,15 @@ def boundary_reservations(steps, links: GeoLinks, agv: AgvId, counter: WorkCount
     if counter is not None:
         counter.note(len(open_start))
 
-    i, n = 1, len(chain)
-    while i < n:
+    last = len(chain) - 1
+    for i in range(1, last + 1):
         rid, s1, e1 = chain[i]
-        key = rid
-        i += 1
-        while s1 == e1 and i < n:  # fuse the instant with the step after it
-            rid, _, e1 = chain[i]
-            i += 1
-            key = (*key, rid) if type(key) is tuple else (key, rid)
+        if s1 == e1 and i < last:
+            continue
         try:
-            exits, entries = trans[prev][key]
+            exits, entries = trans[prev][rid]
         except KeyError:
-            exits, entries = _transition(links, prev, key)
+            exits, entries = _transition(links, prev, rid)
         for p in exits:
             s2 = pop(p)
             if s2 != v_end:

@@ -241,9 +241,9 @@ class GeoLinks:
 
     radius: int
     linked: tuple  # rid -> frozenset of rids within 0..radius, rid included
-    # Lazily filled cache of exact per-transition exit/entry sets, keyed by
-    # the resource stepped from. Derived from linked only, so it is excluded
-    # from comparisons.
+    # Lazily filled cache of exact per-transition exit/entry sets: one dict
+    # per resource stepped off, each row keyed by the resource stepped onto.
+    # Derived from linked only, so it is excluded from comparisons.
     transitions: dict = field(default_factory=dict, compare=False, repr=False)
 
 

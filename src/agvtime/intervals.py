@@ -87,17 +87,15 @@ class GapTree:
 
     ``last_touched`` exposes how many stored intervals the most recent
     insert, remove or gap query examined, for locality assertions.
-    ``version`` counts mutations.
     """
 
-    __slots__ = ("_starts", "_ends", "_ids", "last_touched", "version")
+    __slots__ = ("_starts", "_ends", "_ids", "last_touched")
 
     def __init__(self):
         self._starts = []
         self._ends = []
         self._ids = []  # frozenset of AgvId per stored interval
         self.last_touched = 0
-        self.version = 0
 
     def __len__(self):
         return len(self._starts)
@@ -140,7 +138,6 @@ class GapTree:
         starts[lo:hi] = new_s
         ends[lo:hi] = new_e
         idsets[lo:hi] = new_ids
-        self.version += 1
 
     def insert(self, agv: AgvId, start, end) -> None:
         """Reserve [start, end) for agv, splitting partial overlaps and
@@ -157,7 +154,6 @@ class GapTree:
             left = lo > 0 and ends[lo - 1] == start
             right = lo < len(starts) and starts[lo] == end
             self.last_touched = left + right
-            self.version += 1
             if left and idsets[lo - 1] == own:
                 if right and idsets[lo] == own:
                     ends[lo - 1] = ends[lo]

@@ -136,14 +136,17 @@ class TimePath:
 
 def check_stages(stages) -> None:
     """Raise InvalidParameterError unless each stage has targets and a stop
-    >= 0, INF (hold forever) only on the last; ``entry + INF`` is INF, so
-    nothing past this check treats an infinite stop apart."""
+    that is an int >= 0 or INF (hold forever), INF only on the last;
+    ``entry + INF`` is INF, so nothing past this check treats an infinite
+    stop apart."""
     if not stages:
         raise InvalidParameterError("route needs at least one stage")
     last = len(stages) - 1
     for i, st in enumerate(stages):
         if not st.targets:
             raise InvalidParameterError(f"stage {i} has no targets")
+        if type(st.stop) is not int and st.stop != INF:
+            raise InvalidParameterError(f"stage {i} stop must be an integer or INF, got {st.stop!r}")
         if st.stop < 0:
             raise InvalidParameterError(f"stage {i} stop is negative")
         if st.stop == INF and i != last:
@@ -153,6 +156,10 @@ def check_stages(stages) -> None:
 def check_source(g: ResourceGraph, spec: SourceSpec) -> int | None:
     """Head node of an edge source, None for a node source; raises
     InvalidParameterError when ``spec`` is no position on ``g``."""
+    for name in ("resource", "elapsed"):
+        value = getattr(spec, name)
+        if type(value) is not int:
+            raise InvalidParameterError(f"source {name} must be an integer, got {value!r}")
     if not 0 <= spec.resource < g.num_resources:
         raise InvalidParameterError(f"source resource {spec.resource} is not on the graph")
     if g.is_node(spec.resource):

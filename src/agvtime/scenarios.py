@@ -24,7 +24,7 @@ from .graph import (
     subdivide,
     validate,
 )
-from .pathing import SourceSpec, check_source
+from .pathing import SourceSpec
 from .scheduling import Demand, check_plan, demand_node_fault
 
 
@@ -92,8 +92,9 @@ def _graph_from_spec(spec) -> ResourceGraph:
 def _graph_and_fleet(sc: Scenario):
     """Subdivided graph, placements and demands: materialise minus links.
 
-    The one builder of every scenario. It checks every field but the preset
-    and the anchoriser, which ``check_plan`` takes with the graph.
+    The one builder of every scenario. It checks every field but the preset,
+    the anchoriser and where each placement lies on the graph, which
+    ``check_plan`` takes with the graph.
     """
     for name in ("stop_pickup", "stop_dropoff"):
         _int(getattr(sc, name), name)
@@ -107,7 +108,6 @@ def _graph_and_fleet(sc: Scenario):
         if agv in placements:
             raise InvalidParameterError(f"duplicate placement for AGV {agv}")
         spec = SourceSpec(rid, elapsed, p.get("toward"))
-        check_source(g, spec)
         if any(spec.resource == q.resource for q in placements.values()):
             raise InvalidParameterError("two AGVs share a resource")
         placements[agv] = spec

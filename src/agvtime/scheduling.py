@@ -21,6 +21,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 
 from .anchoring import blockers, greedy_anchorise, hold, naive_anchorise
 from .footprint import boundary_reservations
@@ -31,6 +33,7 @@ from .pathing import (
     Stage,
     Step,
     TimePath,
+    check_source,
     manhattan_guide,
     route_corridor,
     time_path,
@@ -94,10 +97,12 @@ def demand_node_fault(g: ResourceGraph, node) -> str | None:
 
 
 def check_plan(g: ResourceGraph, placements, demands, preset: str, anchoriser: str) -> None:
-    """Raise InvalidParameterError unless the preset, the anchoriser and the
-    demands make a plan ``build_timetable`` can attempt. The one gate for
-    them: ``build_timetable`` and every loaded or generated scenario pass it.
-    A Manhattan preset needs the graph's ``coords`` and ``unit_weight``.
+    """Raise InvalidParameterError unless the preset, the anchoriser, the
+    placements and the demands make a plan ``build_timetable`` can attempt.
+    The one gate for them: ``build_timetable`` and every loaded or generated
+    scenario pass it. A Manhattan preset needs the graph's ``coords`` and
+    ``unit_weight``; each placement passes ``check_source``; demand fields
+    are ints, and true and false are not.
     """
     if preset not in PRESETS:
         raise InvalidParameterError(f"unknown preset {preset!r}")
@@ -105,18 +110,23 @@ def check_plan(g: ResourceGraph, placements, demands, preset: str, anchoriser: s
         raise InvalidParameterError(f"preset {preset} needs graph coords and unit_weight")
     if anchoriser not in ANCHORISERS:
         raise InvalidParameterError(f"unknown anchoriser {anchoriser!r}")
+    for spec in placements.values():
+        check_source(g, spec)
     if demands and not placements:
         raise InvalidParameterError("demands given but the fleet is empty")
-    ids = [d.id for d in demands]
-    if len(ids) != len(set(ids)):
-        raise InvalidParameterError("demand ids are not unique")
     for d in demands:
+        for name in ("id", "pickup", "dropoff", "horizon"):
+            value = getattr(d, name)
+            if type(value) is not int:
+                raise InvalidParameterError(f"demand {name} must be an integer, got {value!r}")
         for node in (d.pickup, d.dropoff):
             fault = demand_node_fault(g, node)
             if fault is not None:
                 raise InvalidParameterError(f"demand {d.id}: {node} {fault}")
         if d.horizon < 0:
             raise InvalidParameterError(f"demand {d.id}: negative horizon")
+    if len({d.id for d in demands}) != len(demands):
+        raise InvalidParameterError("demand ids are not unique")
 
 
 @dataclass
@@ -196,14 +206,10 @@ class Timetable:
             )
         parts += (
             "\n  ]" if len(parts) > 1 else "]",
-            f',\n  "metrics": {{\n    "makespan": {_tick(self.makespan())},\n'
+            f',\n  "metrics": {{\n    "makespan": {self.makespan()},\n'
             f'    "total_distance": {self.total_distance()}\n  }}\n}}\n',
         )
         return "".join(parts)
-
-
-def _tick(t) -> str:
-    return '"inf"' if t == INF else str(int(t))
 
 
 class _Names(dict):
@@ -281,17 +287,15 @@ def build_timetable(
     if parked.stalled:
         raise StalledAnchorisation(parked.stalled, blockers(tg, placements, parked.stalled))
 
-    paths = {agv: [parked.paths[agv]] for agv in sorted(placements)}
     fleet = sorted(placements)
+    paths = {agv: [parked.paths[agv]] for agv in fleet}
     anchors = sorted(g.anchors)
 
-    batch_starts = sorted({d.horizon for d in demands})
-    for h in batch_starts:
-        batch = [d for d in demands if d.horizon == h]
-        assigned = {d.id: rng.choice(fleet) for d in batch}
+    horizon = attrgetter("horizon")
+    for h, batch in groupby(sorted(demands, key=horizon), horizon):
+        batch = [(d, rng.choice(fleet)) for d in batch]
         rng.shuffle(batch)
-        for d in batch:
-            agv = assigned[d.id]
+        for d, agv in batch:
             last = paths[agv][-1]
             held = last.steps[-1].resource
             start = max(h, last.arrival)

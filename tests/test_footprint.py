@@ -52,6 +52,36 @@ def test_non_contiguous_path_faults():
         naive_reservations([(0, 5, 3)], links, 1)
 
 
+def malformed_walk(kind, g, links):
+    """A walk from node v over its edge e, broken the way ``kind`` names."""
+    v = sorted(set(range(g.num_nodes)) - g.anchors)[0]
+    e, u, _ = g.moves[v][0]
+    far = next(x for x in range(g.num_nodes) if x not in links.linked[e])
+    far_e = g.moves[far][0][0]
+    return {
+        "unlinked step": [(v, 0, 5), (far, 5, 9)],
+        "unlinked hop among instants": [(v, 0, 5), (e, 5, 5), (far, 5, 5), (far_e, 5, 9)],
+        "gap between steps": [(v, 0, 5), (e, 6, 9), (u, 9, 12)],
+        "inverted step": [(v, 0, 5), (e, 5, 3), (u, 3, 12)],
+    }[kind]
+
+
+@pytest.mark.parametrize(
+    "kind, why",
+    [
+        ("unlinked step", "unlinked"),
+        ("unlinked hop among instants", "unlinked"),
+        ("gap between steps", "not contiguous"),
+        ("inverted step", "inverted"),
+    ],
+)
+@pytest.mark.parametrize("expand", [naive_reservations, boundary_reservations])
+def test_both_expansions_refuse_the_same_malformed_walks(kind, why, expand):
+    g, links = linked_graph()
+    with pytest.raises(PathShapeError, match=why):
+        expand(malformed_walk(kind, g, links), links, 1)
+
+
 def test_planner_items_are_exactly_step_and_reservation():
     # The planner builds these by tuple.__new__; readers use their fields
     # (r.start, s.resource, and r.ivl in perfbench/check.py), so a plain

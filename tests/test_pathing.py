@@ -150,6 +150,24 @@ def test_route_validation():
         time_path(tg, 1, SourceSpec(0), [Stage({1}, -2)])
 
 
+@pytest.mark.parametrize(
+    "source, stages",
+    [
+        (SourceSpec(2, 2.5), [Stage({1}, 0)]),
+        (SourceSpec(0.0), [Stage({1}, 0)]),
+        (SourceSpec(True), [Stage({0}, 0)]),
+        (SourceSpec(0), [Stage({1}, 2.5), Stage({0}, INF)]),
+        (SourceSpec(0), [Stage({1}, True)]),
+    ],
+)
+def test_positions_and_stops_must_be_integers(source, stages):
+    # Python callers bypass the scenario files' integer rule; the search's
+    # own gates apply it, so no fractional tick reaches a path.
+    tg = TimeGraph(line([1000]))
+    with pytest.raises(InvalidParameterError, match="must be an integer"):
+        time_path(tg, 1, source, stages)
+
+
 def rid_at(g, xy):
     return g.coords.index(xy)
 

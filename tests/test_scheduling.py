@@ -195,6 +195,31 @@ def test_rejects_bad_demands():
         build(g, {}, [Demand(0, inner, inner)])
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("id", 0.0), ("id", True), ("pickup", 5.0), ("dropoff", 6.0), ("horizon", 1000.5), ("horizon", True)],
+)
+@pytest.mark.parametrize("preset", PRESETS)
+def test_demand_fields_must_be_integers(field, value, preset):
+    # Python callers bypass the scenario files' integer rule; check_plan
+    # applies it, so no fractional tick reaches a timetable.
+    g = build_grid(4, 10)
+    demand = dataclasses.replace(Demand(0, rid_at(g, (1, 1)), rid_at(g, (2, 2))), **{field: value})
+    with pytest.raises(InvalidParameterError, match=f"demand {field} must be an integer"):
+        build(g, {1: SourceSpec(rid_at(g, (1, 2)))}, [demand], preset=preset)
+
+
+def test_stops_and_placements_must_be_integers():
+    g = build_grid(4, 10)
+    inner, other = rid_at(g, (1, 1)), rid_at(g, (2, 2))
+    with pytest.raises(InvalidParameterError, match="stop must be an integer"):
+        build(g, {1: SourceSpec(inner)}, [Demand(0, other, inner)], stop_pickup=2.5)
+    with pytest.raises(InvalidParameterError, match="stop must be an integer"):
+        build(g, {1: SourceSpec(inner)}, [Demand(0, other, inner)], stop_dropoff=True)
+    with pytest.raises(InvalidParameterError, match="source resource must be an integer"):
+        build(g, {1: SourceSpec(float(inner))}, [Demand(0, other, inner)], preset="full-manhattan")
+
+
 @pytest.mark.parametrize("preset", ["full-manhattan", "partial-manhattan"])
 def test_manhattan_preset_needs_coords_before_anchorisation(preset):
     # No demand ever asks for the guide here: check_plan alone refuses it.
@@ -461,3 +486,31 @@ def test_planned_timetables_are_pinned():
         assert_clean(tt)
         digest.update(tt.to_json().encode())
     assert digest.hexdigest() == "95c272ab9ac811eb6dc77be8476e30fd75e3f95395c2441e786a9a401eb230fb"
+
+
+MIXED_HORIZONS = (0, 40, 90, 400, 1000)
+
+
+def test_mixed_horizon_batches_are_pinned():
+    # Horizons drawn from MIXED_HORIZONS and the demands shuffled, so every
+    # batch is read out of a list that interleaves all of them; stops are
+    # non-zero. Digest taken before the batches were grouped in one pass.
+    digest = hashlib.sha256()
+    for seed in (11, 12, 13):
+        for k, preset in enumerate(PRESETS):
+            sc = generate(
+                grid=8, agvs=3, demands=18, seed=seed, preset=preset,
+                anchoriser=("greedy", "naive")[(seed + k) % 2], stop_pickup=2, stop_dropoff=3,
+            )
+            g, links, placements, demands = materialise(sc)
+            rng = random.Random(seed)
+            demands = [dataclasses.replace(d, horizon=rng.choice(MIXED_HORIZONS)) for d in demands]
+            rng.shuffle(demands)
+            tt = build_timetable(
+                g, links, placements, demands,
+                preset=sc.preset, anchoriser=sc.anchoriser,
+                stop_pickup=sc.stop_pickup, stop_dropoff=sc.stop_dropoff, seed=sc.seed,
+            )
+            assert_clean(tt)
+            digest.update(tt.to_json().encode())
+    assert digest.hexdigest() == "442feb30cc37e16c38d4e99a06a9dd2a552823501e64fe165421a46e896c2e78"

@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import inspect
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -84,6 +85,21 @@ def _out_dir(out: str) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _write_atomically(path: Path, write) -> None:
+    """Call ``write`` on a text file opened under a temporary name beside
+    ``path``, then move it onto ``path``: a reader sees the old file or the
+    whole new one. If anything fails, the temporary file is removed and
+    ``path`` is left as it was."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            write(f)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _generated(knobs: dict) -> Scenario:
@@ -185,13 +201,13 @@ def cmd_run(opts: dict) -> int:
         return EXIT_AUDIT
 
     out = _out_dir(out)
-    (out / "timetable.json").write_text(tt.to_json())
+    _write_atomically(out / "timetable.json", tt.to_json)
     m = metrics(tt)
     row = csv_row(
         "run", _scenario_tag(sc), sc.preset, f"{m['runtime_ms']:.3f}",
         m["makespan"], m["total_distance"], sc.anchoriser,
     )
-    (out / "metrics.csv").write_text(CSV_HEADER + "\n" + row + "\n")
+    _write_atomically(out / "metrics.csv", lambda f: f.write(CSV_HEADER + "\n" + row + "\n"))
     print(f"ok makespan={m['makespan']} total_distance={m['total_distance']}")
     print(out / "timetable.json")
     print(out / "metrics.csv")

@@ -93,11 +93,9 @@ def _graph_and_fleet(sc: Scenario):
     """Subdivided graph, placements and demands: materialise minus links.
 
     The one builder of every scenario. It checks every field but the preset,
-    the anchoriser and where each placement lies on the graph, which
-    ``check_plan`` takes with the graph.
+    the anchoriser, the stops and where each placement lies on the graph,
+    which ``check_plan`` takes with the graph.
     """
-    for name in ("stop_pickup", "stop_dropoff"):
-        _int(getattr(sc, name), name)
     if type(sc.seed) is not int:
         raise InvalidParameterError(f"seed must be an integer, got {sc.seed!r}")
     g = subdivide(_graph_from_spec(sc.graph), _int(sc.subdivisions, "subdivisions", 1))
@@ -132,7 +130,7 @@ def validate_scenario(sc: Scenario, built=None):
     """
     try:
         g, placements, demands = _graph_and_fleet(sc) if built is None else built
-        check_plan(g, placements, demands, sc.preset, sc.anchoriser)
+        check_plan(g, placements, demands, sc.preset, sc.anchoriser, sc.stop_pickup, sc.stop_dropoff)
     except InvalidParameterError as err:
         return str(err)
     return validate(g, len(placements))
@@ -207,6 +205,9 @@ def generate(*, grid: int, agvs: int, demands: int, weight: int = 10, **fields) 
         while dropoff == pickup:
             dropoff = rng.choice(free_nodes)
         ds.append(Demand(i, pickup, dropoff))
-    check_plan(g, {i + 1: SourceSpec(v) for i, v in enumerate(spots)}, ds, sc.preset, sc.anchoriser)
+    check_plan(
+        g, {i + 1: SourceSpec(v) for i, v in enumerate(spots)}, ds,
+        sc.preset, sc.anchoriser, sc.stop_pickup, sc.stop_dropoff,
+    )
     placements = tuple({"agv": i + 1, "resource": v} for i, v in enumerate(spots))
     return dataclasses.replace(sc, placements=placements, demands=tuple(map(dataclasses.asdict, ds)))

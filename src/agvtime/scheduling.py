@@ -96,13 +96,16 @@ def demand_node_fault(g: ResourceGraph, node) -> str | None:
     return None
 
 
-def check_plan(g: ResourceGraph, placements, demands, preset: str, anchoriser: str) -> None:
+def check_plan(
+    g: ResourceGraph, placements, demands, preset: str, anchoriser: str, stop_pickup, stop_dropoff
+) -> None:
     """Raise InvalidParameterError unless the preset, the anchoriser, the
-    placements and the demands make a plan ``build_timetable`` can attempt.
-    The one gate for them: ``build_timetable`` and every loaded or generated
-    scenario pass it. A Manhattan preset needs the graph's ``coords`` and
-    ``unit_weight``; each placement passes ``check_source``; demand fields
-    are ints, and true and false are not.
+    stops, the placements and the demands make a plan ``build_timetable``
+    can attempt. The one gate for them: ``build_timetable`` and every loaded
+    or generated scenario pass it. A Manhattan preset needs the graph's
+    ``coords`` and ``unit_weight``; stops are ints >= 0; each placement
+    passes ``check_source``; demand fields are ints. True and false are no
+    ints here.
     """
     if preset not in PRESETS:
         raise InvalidParameterError(f"unknown preset {preset!r}")
@@ -110,6 +113,9 @@ def check_plan(g: ResourceGraph, placements, demands, preset: str, anchoriser: s
         raise InvalidParameterError(f"preset {preset} needs graph coords and unit_weight")
     if anchoriser not in ANCHORISERS:
         raise InvalidParameterError(f"unknown anchoriser {anchoriser!r}")
+    for which, stop in (("pickup", stop_pickup), ("dropoff", stop_dropoff)):
+        if type(stop) is not int or stop < 0:
+            raise InvalidParameterError(f"{which} stop must be an integer >= 0, got {stop!r}")
     for spec in placements.values():
         check_source(g, spec)
     if demands and not placements:
@@ -149,10 +155,13 @@ class Timetable:
             self.steps[agv] = steps
 
     def occupations(self):
-        flat = []
+        """Yield every AGV's ``(agv, resource, start, end)`` claims, AGVs in
+        id order, each AGV's in time order: the rows ``to_json`` writes, in
+        the order it writes them. A generator, so the audit walks the
+        timeline without a whole-run list of claims beside it."""
         for agv, steps in sorted(self.steps.items()):
-            flat.extend((agv, r, s, e) for r, s, e in steps)
-        return flat
+            for r, s, e in steps:
+                yield agv, r, s, e
 
     def makespan(self):
         arrivals = [plist[-1].arrival for plist in self.paths.values() if plist]
@@ -173,43 +182,55 @@ class Timetable:
                 return False
         return True
 
-    def to_json(self) -> str:
+    def to_json(self, fp=None) -> str | None:
         """The timetable as ``json.dumps(doc, sort_keys=True, indent=2)``
         would write it, plus a newline, but written directly: ``indent``
         forces CPython's pure-Python encoder, several times slower.
 
-        Each AGV's rows are joined once into one string, and one final join
-        puts those strings between the fixed text around them: no text is
-        copied by ``+`` or an f-string, and at its peak the writer holds the
-        AGVs' strings, the result and the formatted rows of one AGV.
-        Keys come in sorted order; infinite ticks are ``"inf"``. Every
-        start is finite, and so is every end but an AGV's last: its steps
-        are contiguous. Resource names from ``describe`` are plain ASCII and
-        need no escaping; each is made once per call, on first use, so a
-        short timetable on a big graph makes no more of them than rows.
+        Without ``fp`` the text is returned. With ``fp``, an open text file,
+        the same text is written to it chunk by chunk, one AGV at a time,
+        and None is returned: the writer then holds one AGV's text at a
+        time, never the whole file. Both read the chunks of ``_chunks``.
+        """
+        if fp is None:
+            return "".join(self._chunks())
+        fp.writelines(self._chunks())
+        return None
+
+    def _chunks(self):
+        """Yield the text of ``to_json``: the head, each AGV's object, then
+        the metrics tail.
+
+        Each AGV's rows are joined once into one string, which the generator
+        does not keep, and no text is copied by ``+`` or an f-string: at its
+        peak the writer holds the formatted rows of one AGV and their join,
+        beside whatever the caller keeps of the chunks already yielded.
+        Keys come in sorted order; infinite ticks are ``"inf"``. Every start
+        is finite, and so is every end but an AGV's last: its steps are
+        contiguous. Resource names from ``describe`` are plain ASCII and need
+        no escaping; each is made once per call, on first use, so a short
+        timetable on a big graph makes no more of them than rows.
         """
         names = _Names(self.tg.graph.describe)
         inf, inf_text = INF, '"inf"'
-        parts = ['{\n  "agvs": [']
+        yield '{\n  "agvs": ['
+        sep = ""
         for agv, steps in sorted(self.steps.items()):
-            rows = ",".join(
+            yield sep
+            yield f'\n    {{\n      "id": {agv},\n      "steps": ['
+            yield ",".join(
                 f'\n        {{\n          "end": {e if e != inf else inf_text},\n'
                 f'          "resource": "{names[r]}",\n'
                 f'          "start": {s}\n        }}'
                 for r, s, e in steps
             )
-            parts += (
-                "," if len(parts) > 1 else "",
-                f'\n    {{\n      "id": {agv},\n      "steps": [',
-                rows,
-                "\n      ]\n    }" if rows else "]\n    }",
-            )
-        parts += (
-            "\n  ]" if len(parts) > 1 else "]",
+            yield "\n      ]\n    }" if steps else "]\n    }"
+            sep = ","
+        yield "\n  ]" if sep else "]"
+        yield (
             f',\n  "metrics": {{\n    "makespan": {self.makespan()},\n'
-            f'    "total_distance": {self.total_distance()}\n  }}\n}}\n',
+            f'    "total_distance": {self.total_distance()}\n  }}\n}}\n'
         )
-        return "".join(parts)
 
 
 class _Names(dict):
@@ -275,7 +296,7 @@ def build_timetable(
     seed: int = 0,
 ) -> Timetable:
     demands = list(demands)
-    check_plan(g, placements, demands, preset, anchoriser)
+    check_plan(g, placements, demands, preset, anchoriser, stop_pickup, stop_dropoff)
     t0 = time.perf_counter()
     rng = random.Random(seed)
     tg = TimeGraph(g)

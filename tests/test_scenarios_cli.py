@@ -24,6 +24,7 @@ from agvtime.graph import (
     subdivide,
 )
 from agvtime.pathing import SourceSpec
+from agvtime.scheduling import Timetable
 from agvtime.scenarios import (
     Scenario,
     from_json,
@@ -322,6 +323,39 @@ def test_cli_injected_conflict_fails_audit(tmp_path, capsys):
     assert err["detail"] == (
         f"agv {holder['id']} occupation [{t}, inf) on resource {rid} conflicts with agv(s) 99"
     )
+
+
+def test_cli_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
+    # timetable.json is streamed to a temporary name and moved into place
+    # only when whole: a write that fails partway exits 2 with one JSON line,
+    # leaves no temporary file, and leaves an earlier run's files as they were.
+    args = ["run", "--grid", "6", "--agvs", "2", "--demands", "3", "--out"]
+    kept = tmp_path / "kept"
+    assert main([*args, str(kept), "--seed", "2"]) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in kept.iterdir()}
+    capsys.readouterr()
+
+    chunks = Timetable._chunks
+    mid_stream = []
+
+    def failing(tt):
+        for i, chunk in enumerate(chunks(tt)):
+            if i == 4:
+                mid_stream.append(sorted(p.name for p in out.iterdir()))
+                raise OSError(28, "No space left on device")
+            yield chunk
+
+    monkeypatch.setattr(Timetable, "_chunks", failing)
+    for out in (tmp_path / "fresh", kept):
+        assert main([*args, str(out), "--seed", "3"]) == EXIT_INVALID
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "invalid", "detail": "[Errno 28] No space left on device"}
+    # The temporary file existed while the stream ran, beside the old files.
+    tmp = f".timetable.json.{os.getpid()}.tmp"
+    assert mid_stream == [[tmp], sorted([*before, tmp])]
+    assert not list((tmp_path / "fresh").iterdir())
+    assert {p.name: p.read_bytes() for p in kept.iterdir()} == before
 
 
 def test_cli_generate_refuses_demands_without_a_fleet(tmp_path, capsys):

@@ -27,7 +27,7 @@ unbounded search gives (``pathing``'s module docstring has both arguments).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .footprint import boundary_reservations
 from .graph import GeoLinks
@@ -43,8 +43,7 @@ from .pathing import (
 from .timegraph import Reservation, TimeGraph
 
 
-@dataclass(frozen=True)
-class AnchorResult:
+class AnchorResult(NamedTuple):
     paths: dict[AgvId, TimePath]
     stalled: frozenset[AgvId]
     attempts: int

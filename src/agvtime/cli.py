@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import inspect
 import json
 import os
 import sys
@@ -37,12 +35,12 @@ EXIT_INVALID = 2
 EXIT_FAULT = 3
 EXIT_AUDIT = 4
 
-# The generator's named parameters shape the layout, so they cannot change a
-# scenario file; those without a default must be given. Every other flag
+# generate's keyword-only parameters shape the layout, so they cannot change
+# a scenario file; those without a default must be given. Every other flag
 # names a Scenario field, which generate takes as one of its **fields.
-_GENERATE = [p for p in inspect.signature(generate).parameters.values() if p.kind is p.KEYWORD_ONLY]
-_SHAPE = {p.name for p in _GENERATE}
-_REQUIRED = [p.name for p in _GENERATE if p.default is p.empty]
+_GENERATE = generate.__code__.co_varnames[: generate.__code__.co_kwonlyargcount]
+_SHAPE = set(_GENERATE)
+_REQUIRED = [name for name in _GENERATE if name not in generate.__kwdefaults__]
 
 
 def _report(kind: str, detail: str) -> None:
@@ -87,18 +85,20 @@ def _out_dir(out: str) -> Path:
     return path
 
 
-def _write_atomically(path: Path, write) -> None:
-    """Call ``write`` on a text file opened under a temporary name beside
-    ``path``, then move it onto ``path``: a reader sees the old file or the
-    whole new one. If anything fails, the temporary file is removed and
-    ``path`` is left as it was."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+def _write_together(files) -> None:
+    """Call each ``(path, write)`` pair's ``write`` on a text file opened under
+    a temporary name beside ``path``, then move all of them into place: a
+    failed write leaves every path as it was, and no temporary file behind."""
+    tmps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path, _ in files]
     try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            write(f)
-        os.replace(tmp, path)
+        for (_, write), tmp in zip(files, tmps):
+            with open(tmp, "w", encoding="utf-8") as f:
+                write(f)
+        for (path, _), tmp in zip(files, tmps):
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -130,7 +130,7 @@ def _load_scenario(knobs: dict) -> Scenario:
         sc = from_json(Path(path).read_text())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise InvalidParameterError(f"cannot load scenario {path}: {err}") from err
-    return dataclasses.replace(sc, **knobs)
+    return sc._replace(**knobs)
 
 
 def _parse_inject(g, text: str):
@@ -201,13 +201,15 @@ def cmd_run(opts: dict) -> int:
         return EXIT_AUDIT
 
     out = _out_dir(out)
-    _write_atomically(out / "timetable.json", tt.to_json)
     m = metrics(tt)
     row = csv_row(
         "run", _scenario_tag(sc), sc.preset, f"{m['runtime_ms']:.3f}",
         m["makespan"], m["total_distance"], sc.anchoriser,
     )
-    _write_atomically(out / "metrics.csv", lambda f: f.write(CSV_HEADER + "\n" + row + "\n"))
+    _write_together([
+        (out / "timetable.json", tt.to_json),
+        (out / "metrics.csv", lambda f: f.write(CSV_HEADER + "\n" + row + "\n")),
+    ])
     print(f"ok makespan={m['makespan']} total_distance={m['total_distance']}")
     print(out / "timetable.json")
     print(out / "metrics.csv")
@@ -215,6 +217,7 @@ def cmd_run(opts: dict) -> int:
 
 
 def cmd_bench(opts: dict) -> int:
+    import inspect  # here, not at the top: only this command needs it, and it is slow to import
     out = opts.pop("out", ".")
     suite = opts.pop("suite")
     takes = inspect.signature(SUITES[suite]).parameters

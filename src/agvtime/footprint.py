@@ -23,8 +23,6 @@ A link set includes its resource: a resource is always part of its own
 footprint, so base occupations come out of the expansion too.
 """
 
-from dataclasses import dataclass, field
-
 from .graph import GeoLinks
 from .intervals import AgvId
 from .timegraph import Reservation
@@ -34,11 +32,13 @@ class PathShapeError(ValueError):
     pass
 
 
-@dataclass(slots=True)
 class WorkCounter:
     """Counts resources handled per step, for work-scaling assertions."""
 
-    per_step: list = field(default_factory=list)
+    __slots__ = ("per_step",)
+
+    def __init__(self):
+        self.per_step = []
 
     def note(self, n: int):
         self.per_step.append(n)

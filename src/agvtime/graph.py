@@ -13,27 +13,23 @@ radius, which is the footprint an AGV on r holds.
 """
 
 import heapq
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class InvalidParameterError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(NamedTuple):
+    """One edge between nodes a and b; ``ResourceGraph`` checks its weight."""
+
     a: int
     b: int
     weight: int
     directed: bool = False
 
-    def __post_init__(self):
-        if self.weight < 1:
-            raise InvalidParameterError(f"edge weight must be >= 1, got {self.weight}")
 
-
-@dataclass(frozen=True, slots=True)
-class Violation:
+class Violation(NamedTuple):
     """First graph-validity rule a graph broke, with a human-readable detail."""
 
     assumption: int
@@ -70,6 +66,8 @@ class ResourceGraph:
         moves = [[] for _ in range(num_nodes)]
         for i, e in enumerate(self.edges):
             rid = num_nodes + i
+            if e.weight < 1:
+                raise InvalidParameterError(f"edge weight must be >= 1, got {e.weight}")
             if not (0 <= e.a < num_nodes and 0 <= e.b < num_nodes):
                 raise InvalidParameterError(f"edge {i} endpoint out of range")
             if self.coords is not None and unit_weight is not None:
@@ -235,16 +233,18 @@ def subdivide(g: ResourceGraph, s: int) -> ResourceGraph:
     return ResourceGraph(next_node, new_edges, g.anchors, coords, uw, sub_nodes)
 
 
-@dataclass(frozen=True, slots=True)
 class GeoLinks:
-    """Radius-limited spatial surroundings of every resource."""
+    """Radius-limited spatial surroundings of every resource: ``linked[r]``
+    is the frozenset of rids within 0..radius of r, r included, and
+    ``transitions[a][b]`` caches, once first used, the exact exit and entry
+    sets of a step off a onto b, which derive from ``linked`` alone."""
 
-    radius: int
-    linked: tuple  # rid -> frozenset of rids within 0..radius, rid included
-    # Lazily filled cache of exact per-transition exit/entry sets: one dict
-    # per resource stepped off, each row keyed by the resource stepped onto.
-    # Derived from linked only, so it is excluded from comparisons.
-    transitions: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("radius", "linked", "transitions")
+
+    def __init__(self, radius: int, linked: tuple):
+        self.radius = radius
+        self.linked = linked
+        self.transitions = {}
 
 
 def build_adjacency_links(g: ResourceGraph, s: int) -> GeoLinks:

@@ -83,7 +83,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -92,20 +91,17 @@ from .intervals import INF, AgvId
 from .timegraph import TimeGraph
 
 
-@dataclass(frozen=True)
 class Stage:
     """One errand: reach any target node, then hold still for ``stop`` ticks."""
 
-    targets: frozenset[int]
-    stop: int | float
+    __slots__ = ("targets", "stop")
 
     def __init__(self, targets, stop):
-        object.__setattr__(self, "targets", frozenset(targets))
-        object.__setattr__(self, "stop", stop)
+        self.targets = frozenset(targets)
+        self.stop = stop
 
 
-@dataclass(frozen=True)
-class SourceSpec:
+class SourceSpec(NamedTuple):
     """Where an AGV starts: a node, or partway along an edge.
 
     ``elapsed`` ticks of the edge are already behind it; ``toward`` names the
@@ -123,8 +119,7 @@ class Step(NamedTuple):
     end: int | float
 
 
-@dataclass(frozen=True)
-class TimePath:
+class TimePath(NamedTuple):
     agv: AgvId
     steps: tuple[Step, ...]
     arrival: int
@@ -440,10 +435,12 @@ def _emit(done, final_stop) -> tuple[Step, ...]:
         via = lab[9]
         if via is None:
             continue  # a node source, a stage completion or the finishing marker
-        _, dep, arr = via
+        erid, dep, arr = via
+        if dep == hold_start:  # no wait: keep one tick object, not a fresh equal int
+            dep = hold_start
         if lab[8] is not None:  # a root's via is the rest of its start edge
             append(new(Step, (lab[8][3], hold_start, dep)))
-        append(new(Step, via))
+        append(new(Step, (erid, dep, arr)))
         hold_start = arr
     append(new(Step, (done[3], hold_start, -done[2] + final_stop)))
     return tuple(steps)

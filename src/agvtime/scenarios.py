@@ -11,9 +11,9 @@ passes ``scheduling.check_plan``, so each input rule is checked in one place.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
+from typing import NamedTuple
 
 from .graph import (
     Edge,
@@ -28,8 +28,9 @@ from .pathing import SourceSpec
 from .scheduling import Demand, check_plan, demand_node_fault
 
 
-@dataclasses.dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
+    """One experiment, field for field as its JSON file holds it."""
+
     graph: dict
     placements: tuple
     demands: tuple
@@ -137,7 +138,7 @@ def validate_scenario(sc: Scenario, built=None):
 
 
 def to_json(sc: Scenario) -> str:
-    return json.dumps(dataclasses.asdict(sc), sort_keys=True, indent=2) + "\n"
+    return json.dumps(sc._asdict(), sort_keys=True, indent=2) + "\n"
 
 
 def from_json(text: str) -> Scenario:
@@ -145,7 +146,7 @@ def from_json(text: str) -> Scenario:
     doc = json.loads(text)
     if not (isinstance(doc, dict) and "graph" in doc and all(isinstance(doc.get(k), list) for k in ("placements", "demands"))):
         raise InvalidParameterError("a scenario is an object with a graph and placements and demands lists")
-    fields = {f.name: doc[f.name] for f in dataclasses.fields(Scenario) if f.name in doc}
+    fields = {name: doc[name] for name in Scenario._fields if name in doc}
     return Scenario(**{**fields, "placements": tuple(doc["placements"]), "demands": tuple(doc["demands"])})
 
 
@@ -210,4 +211,4 @@ def generate(*, grid: int, agvs: int, demands: int, weight: int = 10, **fields) 
         sc.preset, sc.anchoriser, sc.stop_pickup, sc.stop_dropoff,
     )
     placements = tuple({"agv": i + 1, "resource": v} for i, v in enumerate(spots))
-    return dataclasses.replace(sc, placements=placements, demands=tuple(map(dataclasses.asdict, ds)))
+    return sc._replace(placements=placements, demands=tuple(d._asdict() for d in ds))

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
+from typing import NamedTuple
 
 from .anchoring import blockers, greedy_anchorise, hold, naive_anchorise
 from .footprint import boundary_reservations
@@ -77,8 +77,9 @@ class NoPathFault(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class Demand:
+class Demand(NamedTuple):
+    """Visit ``pickup``, then ``dropoff``, on a route starting at tick ``horizon`` or later."""
+
     id: int
     pickup: int
     dropoff: int
@@ -135,22 +136,23 @@ def check_plan(
         raise InvalidParameterError("demand ids are not unique")
 
 
-@dataclass
 class Timetable:
-    paths: dict[AgvId, list[TimePath]]
-    tg: TimeGraph
-    runtime_ms: float = 0.0
-    # Per AGV, the physical timeline: anchor holds cut where the next path starts.
-    steps: dict[AgvId, list[Step]] = field(init=False, repr=False)
+    """Each AGV's committed paths, their reservations in ``tg`` and the planning
+    time; ``steps`` is each AGV's timeline, anchor holds cut where the next path starts."""
 
-    def __post_init__(self):
-        self.steps = {}
-        for agv, plist in self.paths.items():
+    __slots__ = ("paths", "tg", "runtime_ms", "steps")
+
+    def __init__(self, paths: dict[AgvId, list[TimePath]], tg: TimeGraph, runtime_ms: float = 0.0):
+        self.paths = paths
+        self.tg = tg
+        self.runtime_ms = runtime_ms
+        self.steps: dict[AgvId, list[Step]] = {}
+        for agv, plist in paths.items():
             steps: list[Step] = []
             for p in plist:
                 if steps:
-                    last = steps[-1]
-                    steps[-1] = Step(last.resource, last.start, p.steps[0].start)
+                    start, cut = steps[-1].start, p.steps[0].start
+                    steps[-1] = Step(steps[-1].resource, start, start if cut == start else cut)
                 steps.extend(p.steps)
             self.steps[agv] = steps
 

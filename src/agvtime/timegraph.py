@@ -12,7 +12,6 @@ between different AGVs are legal; only someone else's reservation crossing a
 base occupation is a conflict.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graph import InvalidParameterError, ResourceGraph
@@ -34,8 +33,7 @@ class Reservation(NamedTuple):
         return self
 
 
-@dataclass(frozen=True, slots=True)
-class SafetyViolation:
+class SafetyViolation(NamedTuple):
     resource: int
     agv: AgvId
     start: int

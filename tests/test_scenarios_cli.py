@@ -1,6 +1,5 @@
 """Scenario files, the seeded generator, and the command line round trip."""
 
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -17,7 +16,9 @@ from agvtime import cli, scenarios
 from agvtime.anchoring import greedy_anchorise, naive_anchorise
 from agvtime.cli import EXIT_AUDIT, EXIT_FAULT, EXIT_INVALID, EXIT_OK, main
 from agvtime.graph import (
+    Edge,
     InvalidParameterError,
+    ResourceGraph,
     build_adjacency_links,
     build_grid,
     spatial_path,
@@ -65,8 +66,14 @@ def drop_runtime(csv_text):
 
 
 def test_json_roundtrip_exact():
-    sc = generate(grid=6, agvs=3, demands=8, seed=17, subdivisions=2, link_radius=3)
-    assert from_json(to_json(sc)) == sc
+    for sc in (
+        generate(grid=6, agvs=3, demands=8, seed=17, subdivisions=2, link_radius=3),
+        generate(grid=8, agvs=4, demands=0, seed=3, preset="partial-manhattan", anchoriser="naive"),
+        generate(grid=7, agvs=2, demands=5, seed=9, weight=12, stop_pickup=2, stop_dropoff=4),
+    ):
+        back = from_json(to_json(sc))
+        assert type(back) is Scenario
+        assert back == sc
 
 
 def test_generate_is_deterministic():
@@ -142,7 +149,7 @@ def test_generate_rejects_fleet_beyond_anchors():
 def test_generate_checks_what_a_file_is_checked_for(name, value):
     with pytest.raises(InvalidParameterError):
         generate(grid=6, agvs=2, demands=1, **{name: value})
-    sc = dataclasses.replace(generate(grid=6, agvs=2, demands=1), **{name: value})
+    sc = generate(grid=6, agvs=2, demands=1)._replace(**{name: value})
     assert validate_scenario(sc) is not None
 
 
@@ -356,6 +363,40 @@ def test_cli_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
     assert mid_stream == [[tmp], sorted([*before, tmp])]
     assert not list((tmp_path / "fresh").iterdir())
     assert {p.name: p.read_bytes() for p in kept.iterdir()} == before
+
+
+def test_cli_failed_metrics_write_keeps_the_older_pair(tmp_path, capsys, monkeypatch):
+    # timetable.json and metrics.csv are both written under temporary names
+    # before either is moved: a failed metrics.csv write leaves the earlier
+    # run's pair as it was, not a new timetable beside old metrics.
+    args = ["run", "--grid", "6", "--agvs", "2", "--demands", "3", "--out", str(tmp_path)]
+    assert main([*args, "--seed", "2"]) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["metrics.csv", "timetable.json"]
+    capsys.readouterr()
+
+    seen = []
+
+    def failing_open(path, *args, **kwargs):
+        f = open(path, *args, **kwargs)
+        if Path(path).name.startswith(".metrics.csv."):
+            seen.append(sorted(p.name for p in tmp_path.iterdir()))
+
+            def write(_text):
+                raise OSError(28, "No space left on device")
+
+            f.write = write
+        return f
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    assert main([*args, "--seed", "3"]) == EXIT_INVALID
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "invalid", "detail": "[Errno 28] No space left on device"}
+    # Both temporary files existed when the write failed, beside the old pair.
+    pid = os.getpid()
+    assert seen == [sorted([*before, f".timetable.json.{pid}.tmp", f".metrics.csv.{pid}.tmp"])]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_cli_generate_refuses_demands_without_a_fleet(tmp_path, capsys):
@@ -617,13 +658,30 @@ def test_cli_run_builds_each_scenario_once(tmp_path, capsys, monkeypatch):
         assert [json.loads(line) for line in lines] == [{"error": "invalid", "detail": detail}], name
 
 
+def test_zero_weight_edge_is_refused_with_its_weight(tmp_path, capsys):
+    # The weight rule lives in ResourceGraph, which every edge reaches:
+    # from build_grid, subdivide and explicit scenario graphs alike.
+    detail = "edge weight must be >= 1, got 0"
+    with pytest.raises(InvalidParameterError, match=f"^{detail}$"):
+        ResourceGraph(2, [Edge(0, 1, 0)], anchors=())
+    doc = json.loads(to_json(generate(grid=6, agvs=2, demands=3, seed=2)))
+    _explicit(doc, lambda g: setitem(g["edges"][0], 2, 0))
+    f = tmp_path / "scenario.json"
+    f.write_text(json.dumps(doc))
+    assert validate_scenario(from_json(f.read_text())) == detail
+    assert main(["run", "--scenario", str(f), "--out", str(tmp_path / "out")]) == EXIT_INVALID
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in lines] == [{"error": "invalid", "detail": detail}]
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_runs_explicit_graph(tmp_path):
     # The grid spelled out edge by edge plans exactly what the grid spec plans.
     sc = generate(grid=6, agvs=2, demands=3, seed=2, preset="full-manhattan")
     files = {}
     for name, graph in (("grid", sc.graph), ("explicit", explicit_grid())):
         f = tmp_path / f"{name}.json"
-        f.write_text(to_json(dataclasses.replace(sc, graph=graph)))
+        f.write_text(to_json(sc._replace(graph=graph)))
         res = run_cli(["run", "--scenario", str(f), "--out", str(tmp_path / name)])
         assert res.returncode == EXIT_OK, res.stderr
         files[name] = (tmp_path / name / "timetable.json").read_bytes()
@@ -631,14 +689,21 @@ def test_cli_runs_explicit_graph(tmp_path):
 
 
 def test_import_loads_only_the_standard_library():
-    probe = (
-        "import json, sys; before = set(sys.modules); import agvtime; "
-        "print(json.dumps(sorted(set(sys.modules) - before)))"
-    )
-    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=SRC_ENV)
-    assert res.returncode == 0, res.stderr
-    tops = {name.partition(".")[0] for name in json.loads(res.stdout)}
-    assert tops - sys.stdlib_module_names == {"agvtime"}
+    # Modules loaded before the import (by site, or the probe itself) do not
+    # count. Records are NamedTuples or plain classes, so importing generates
+    # no code and needs neither dataclasses nor inspect, nor what they bring
+    # (ast, dis, tokenize): together they were a third of the import's time.
+    for module in ("agvtime", "agvtime.cli"):
+        probe = (
+            f"import json, sys; before = set(sys.modules); import {module}; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))"
+        )
+        res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=SRC_ENV)
+        assert res.returncode == 0, res.stderr
+        loaded = set(json.loads(res.stdout))
+        tops = {name.partition(".")[0] for name in loaded}
+        assert tops - sys.stdlib_module_names == {"agvtime"}, module
+        assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}, module
 
 
 def test_cli_stalled_anchorisation_exit_code(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Timetable construction: hand-checked routes, immutability, determinism."""
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -205,7 +204,7 @@ def test_demand_fields_must_be_integers(field, value, preset):
     # Python callers bypass the scenario files' integer rule; check_plan
     # applies it, so no fractional tick reaches a timetable.
     g = build_grid(4, 10)
-    demand = dataclasses.replace(Demand(0, rid_at(g, (1, 1)), rid_at(g, (2, 2))), **{field: value})
+    demand = Demand(0, rid_at(g, (1, 1)), rid_at(g, (2, 2)))._replace(**{field: value})
     with pytest.raises(InvalidParameterError, match=f"demand {field} must be an integer"):
         build(g, {1: SourceSpec(rid_at(g, (1, 2)))}, [demand], preset=preset)
 
@@ -304,7 +303,7 @@ def test_committed_state_is_exactly_timeline_footprints():
                 grid=6, agvs=3, demands=6, seed=seed, subdivisions=2, link_radius=3, preset=preset
             )
             g, links, placements, demands = materialise(sc)
-            demands = [dataclasses.replace(d, horizon=40 * (d.id % 3)) for d in demands]
+            demands = [d._replace(horizon=40 * (d.id % 3)) for d in demands]
             tt = build_timetable(
                 g, links, placements, demands,
                 preset=preset, stop_pickup=3, stop_dropoff=2, seed=seed,
@@ -513,21 +512,42 @@ PINNED_PLANS = (
 )
 
 
-def test_planned_timetables_are_pinned():
-    # Digest taken once final anchors were drawn among those free from the
-    # plan's start tick; a change that promises the same plans must keep it.
-    digest = hashlib.sha256()
+def pinned_plans():
     for kw in PINNED_PLANS:
         sc = generate(**kw)
         g, links, placements, demands = materialise(sc)
-        tt = build_timetable(
+        yield build_timetable(
             g, links, placements, demands,
             preset=sc.preset, anchoriser=sc.anchoriser,
             stop_pickup=sc.stop_pickup, stop_dropoff=sc.stop_dropoff, seed=sc.seed,
         )
+
+
+def test_planned_timetables_are_pinned():
+    # Digest taken once final anchors were drawn among those free from the
+    # plan's start tick; a change that promises the same plans must keep it.
+    digest = hashlib.sha256()
+    for tt in pinned_plans():
         assert_clean(tt)
         digest.update(tt.to_json().encode())
     assert digest.hexdigest() == "95c272ab9ac811eb6dc77be8476e30fd75e3f95395c2441e786a9a401eb230fb"
+
+
+def test_zero_length_steps_share_their_tick():
+    # A zero-length step keeps one int object alive, not two equal ones:
+    # ticks past 256 are not cached by CPython, so a tick read back off the
+    # search heap is a fresh object unless the step reuses the one it
+    # starts on. About half of all planned steps have zero length.
+    zero = ticks = 0
+    for tt in pinned_plans():
+        parts = [p.steps for plist in tt.paths.values() for p in plist]
+        for steps in [*parts, *tt.steps.values()]:
+            for step in steps:
+                if step.start == step.end:
+                    zero += 1
+                    ticks += step.start > 256
+                    assert step.start is step.end, step
+    assert ticks > zero / 2 > 100
 
 
 MIXED_HORIZONS = (0, 40, 90, 400, 1000)
@@ -546,7 +566,7 @@ def test_mixed_horizon_batches_are_pinned():
             )
             g, links, placements, demands = materialise(sc)
             rng = random.Random(seed)
-            demands = [dataclasses.replace(d, horizon=rng.choice(MIXED_HORIZONS)) for d in demands]
+            demands = [d._replace(horizon=rng.choice(MIXED_HORIZONS)) for d in demands]
             rng.shuffle(demands)
             tt = build_timetable(
                 g, links, placements, demands,

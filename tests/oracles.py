@@ -16,7 +16,9 @@ equality and immutability checks, and counted_reads counts its gap reads.
 timetable_json is the standard library's rendering of a timetable, which
 Timetable.to_json must match byte for byte. audit_by_gap_query is the safety
 audit's former rule, a window gap query per claim, which audit_safety's
-one-walk read must match claim for claim.
+one-walk read must match claim for claim. service_faults checks that a
+timetable serves its demands, each by one route of its own, read off the
+committed paths alone.
 """
 
 import heapq
@@ -347,3 +349,50 @@ def audit_by_gap_query(tg, occupations):
                 others |= ids - {agv}
         return SafetyViolation(rid, agv, start, end, frozenset(others))
     return None
+
+
+def _serves(path, demand, stop_pickup, stop_dropoff):
+    """Whether ``path`` starts at or after the demand's horizon and visits
+    its pickup, then its dropoff, holding each for at least its stop. One
+    hold may serve both stops when the two are the same node."""
+    if path.steps[0].start < demand.horizon:
+        return False
+    want = [(demand.pickup, stop_pickup), (demand.dropoff, stop_dropoff)]
+    for rid, start, end in path.steps:
+        while want and rid == want[0][0] and end - start >= want[0][1]:
+            start += want.pop(0)[1]
+    return not want
+
+
+def service_faults(tt, demands, stop_pickup, stop_dropoff):
+    """Why ``tt`` does not serve ``demands``: an empty list when each demand
+    is served by exactly one committed path and each path after an AGV's
+    first (its parking) serves exactly one demand. The timetable records no
+    assignment, so one is looked for: a matching of demands to the paths
+    that could serve them, grown by augmenting paths."""
+    routes = [p for plist in tt.paths.values() for p in plist[1:]]
+    faults = []
+    if len(routes) != len(demands):
+        faults.append(f"{len(routes)} committed routes for {len(demands)} demands")
+    fits = [
+        [i for i, p in enumerate(routes) if _serves(p, d, stop_pickup, stop_dropoff)]
+        for d in demands
+    ]
+    owner = {}
+
+    def claim(k, seen):
+        for i in fits[k]:
+            if i not in seen:
+                seen.add(i)
+                if i not in owner or claim(owner[i], seen):
+                    owner[i] = k
+                    return True
+        return False
+
+    for k, d in enumerate(demands):
+        if not claim(k, set()):
+            faults.append(
+                f"demand {d.id} ({d.pickup} -> {d.dropoff} from tick {d.horizon}) "
+                f"has no route of its own ({len(fits[k])} could serve it)"
+            )
+    return faults

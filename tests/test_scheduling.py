@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import tracemalloc
+from itertools import chain
 
 import pytest
 
@@ -32,7 +33,7 @@ from agvtime.timegraph import TimeGraph
 from agvtime.scenarios import generate, materialise
 from agvtime.timegraph import Reservation, audit_safety
 
-from oracles import shortest_ticks, snapshot_before, timetable_json
+from oracles import service_faults, shortest_ticks, snapshot_before, timetable_json
 
 
 def rid_at(g, xy):
@@ -512,25 +513,33 @@ PINNED_PLANS = (
 )
 
 
+def planned(sc, demands=None):
+    """``sc`` planned, with ``demands`` in place of its own when given: the
+    timetable, the demands and the two stops."""
+    g, links, placements, own = materialise(sc)
+    demands = own if demands is None else demands
+    tt = build_timetable(
+        g, links, placements, demands,
+        preset=sc.preset, anchoriser=sc.anchoriser,
+        stop_pickup=sc.stop_pickup, stop_dropoff=sc.stop_dropoff, seed=sc.seed,
+    )
+    return tt, demands, (sc.stop_pickup, sc.stop_dropoff)
+
+
 def pinned_plans():
     for kw in PINNED_PLANS:
-        sc = generate(**kw)
-        g, links, placements, demands = materialise(sc)
-        yield build_timetable(
-            g, links, placements, demands,
-            preset=sc.preset, anchoriser=sc.anchoriser,
-            stop_pickup=sc.stop_pickup, stop_dropoff=sc.stop_dropoff, seed=sc.seed,
-        )
+        yield planned(generate(**kw))
 
 
 def test_planned_timetables_are_pinned():
-    # Digest taken once final anchors were drawn among those free from the
-    # plan's start tick; a change that promises the same plans must keep it.
+    # Digest taken once each demand went to the AGV free first; a change
+    # that promises the same plans must keep it.
     digest = hashlib.sha256()
-    for tt in pinned_plans():
+    for tt, demands, stops in pinned_plans():
         assert_clean(tt)
+        assert service_faults(tt, demands, *stops) == []
         digest.update(tt.to_json().encode())
-    assert digest.hexdigest() == "95c272ab9ac811eb6dc77be8476e30fd75e3f95395c2441e786a9a401eb230fb"
+    assert digest.hexdigest() == "2ca85c75a046ddbf35309bebd0d04f1e57a5c7fc8a338617c0ced63eab26713c"
 
 
 def test_zero_length_steps_share_their_tick():
@@ -539,7 +548,7 @@ def test_zero_length_steps_share_their_tick():
     # search heap is a fresh object unless the step reuses the one it
     # starts on. About half of all planned steps have zero length.
     zero = ticks = 0
-    for tt in pinned_plans():
+    for tt, _, _ in pinned_plans():
         parts = [p.steps for plist in tt.paths.values() for p in plist]
         for steps in [*parts, *tt.steps.values()]:
             for step in steps:
@@ -553,26 +562,82 @@ def test_zero_length_steps_share_their_tick():
 MIXED_HORIZONS = (0, 40, 90, 400, 1000)
 
 
-def test_mixed_horizon_batches_are_pinned():
+def mixed_horizon_plans():
     # Horizons drawn from MIXED_HORIZONS and the demands shuffled, so every
     # batch is read out of a list that interleaves all of them; stops are
-    # non-zero. Digest taken before the batches were grouped in one pass.
-    digest = hashlib.sha256()
+    # non-zero.
     for seed in (11, 12, 13):
         for k, preset in enumerate(PRESETS):
             sc = generate(
                 grid=8, agvs=3, demands=18, seed=seed, preset=preset,
                 anchoriser=("greedy", "naive")[(seed + k) % 2], stop_pickup=2, stop_dropoff=3,
             )
-            g, links, placements, demands = materialise(sc)
             rng = random.Random(seed)
-            demands = [d._replace(horizon=rng.choice(MIXED_HORIZONS)) for d in demands]
+            demands = [d._replace(horizon=rng.choice(MIXED_HORIZONS)) for d in materialise(sc)[3]]
             rng.shuffle(demands)
-            tt = build_timetable(
-                g, links, placements, demands,
-                preset=sc.preset, anchoriser=sc.anchoriser,
-                stop_pickup=sc.stop_pickup, stop_dropoff=sc.stop_dropoff, seed=sc.seed,
-            )
-            assert_clean(tt)
-            digest.update(tt.to_json().encode())
-    assert digest.hexdigest() == "442feb30cc37e16c38d4e99a06a9dd2a552823501e64fe165421a46e896c2e78"
+            yield planned(sc, demands)
+
+
+def test_mixed_horizon_batches_are_pinned():
+    # Digest taken once each demand went to the AGV free first.
+    digest = hashlib.sha256()
+    for tt, demands, stops in mixed_horizon_plans():
+        assert_clean(tt)
+        assert service_faults(tt, demands, *stops) == []
+        digest.update(tt.to_json().encode())
+    assert digest.hexdigest() == "c16adf72110aff1907334ff3f796930f528b36d4b5978fa6bfee5d74c6eac26f"
+
+
+def test_each_demand_goes_to_the_agv_free_first(monkeypatch):
+    # Each commit is recorded as (AGV, start tick, path) by wrapping the
+    # planner's route call; demands are served in horizon order, so the
+    # k-th commit serves a demand with the k-th smallest horizon.
+    commits = []
+    plan = scheduling._plan
+
+    def recorded(tg, g, agv, src, stages, preset, earliest):
+        p = plan(tg, g, agv, src, stages, preset, earliest)
+        commits.append((agv, earliest, p))
+        return p
+
+    monkeypatch.setattr(scheduling, "_plan", recorded)
+
+    # By hand: three AGVs parked on anchors, so all are free at tick 0, and
+    # four demands at horizon 0.
+    g = build_grid(6, 10)
+    anchors = anchors_sorted(g)
+    placements = {1: SourceSpec(anchors[0]), 2: SourceSpec(anchors[7]), 3: SourceSpec(anchors[14])}
+    demands = [
+        Demand(0, rid_at(g, (1, 1)), rid_at(g, (4, 4))),
+        Demand(1, rid_at(g, (2, 2)), rid_at(g, (3, 2))),
+        Demand(2, rid_at(g, (1, 4)), rid_at(g, (2, 3))),
+        Demand(3, rid_at(g, (3, 3)), rid_at(g, (1, 2))),
+    ]
+    tt = build(g, placements, demands, seed=3)
+    assert_clean(tt)
+    assert service_faults(tt, demands, 0, 0) == []
+    assert [plist[0].arrival for plist in tt.paths.values()] == [0, 0, 0]
+    first = [agv for agv, _, _ in commits[:3]]
+    assert sorted(first) == [1, 2, 3]
+    arrivals = {agv: p.arrival for agv, _, p in commits[:3]}
+    assert len(set(arrivals.values())) == 3
+    soonest = min(arrivals, key=arrivals.get)
+    assert commits[3][0] == soonest
+    assert commits[3][1] == arrivals[soonest] == tt.paths[soonest][2].steps[0].start
+
+    # Every commit of the pinned and the mixed-horizon plans.
+    plans = 0
+    commits.clear()
+    for tt, demands, _ in chain(pinned_plans(), mixed_horizon_plans()):
+        mine = commits[:]
+        commits.clear()
+        free = {agv: plist[0].arrival for agv, plist in tt.paths.items()}
+        fleet = sorted(free)
+        assert len(mine) == len(demands)
+        for h, (agv, earliest, p) in zip(sorted(d.horizon for d in demands), mine):
+            assert agv == min(fleet, key=lambda a: (max(h, free[a]), a))
+            assert earliest == max(h, free[agv])
+            free[agv] = p.arrival
+        assert free == {agv: plist[-1].arrival for agv, plist in tt.paths.items()}
+        plans += 1
+    assert plans == len(PINNED_PLANS) + 3 * len(PRESETS)

@@ -106,7 +106,8 @@ RESERVERS_WEIGHT = 12
 
 # One expansion at subdivision 1 takes well under a millisecond: too short a
 # sample for the naive/boundary ratios to hold still under scheduler noise.
-EXPANSIONS_PER_SAMPLE = 5
+# So each sample repeats the expansion until it spans this many seconds.
+MIN_SAMPLE_S = 0.002
 
 
 def reservers_route(grid, s):
@@ -120,16 +121,21 @@ def reservers_route(grid, s):
 
 
 def _sample_s(fn, steps, links):
-    """Seconds per expansion over one sample, with the garbage collector
-    off as ``timeit`` has it, so that no collection lands in one sample and
-    not its twin; returns the time and the last expansion."""
+    """Seconds per expansion over one sample, which repeats the expansion
+    until it spans ``MIN_SAMPLE_S``, with the garbage collector off as
+    ``timeit`` has it, so that no collection lands in one sample and not
+    its twin; returns the time and the last expansion."""
     gc_was_on = gc.isenabled()
     gc.disable()
     try:
+        calls = 0
         t0 = time.perf_counter()
-        for _ in range(EXPANSIONS_PER_SAMPLE):
+        while True:
             out = fn(steps, links, 1)
-        return (time.perf_counter() - t0) / EXPANSIONS_PER_SAMPLE, out
+            calls += 1
+            elapsed = time.perf_counter() - t0
+            if elapsed >= MIN_SAMPLE_S:
+                return elapsed / calls, out
     finally:
         if gc_was_on:
             gc.enable()

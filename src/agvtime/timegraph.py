@@ -75,7 +75,8 @@ class TimeGraph:
         the first clipped to start at ``since``. The planner's gap read: the
         path search calls this once per (resource, agv) pair with its
         earliest tick and keeps the result for the rest of the search, and
-        ``scheduling.choose_anchor`` reads each anchor from a plan's start."""
+        ``scheduling.choose_anchor`` reads each anchor it settles from a
+        plan's start."""
         return self.trees[resource].gaps_from(agv, since)
 
     def gaps_full(self, resource: int, agv: AgvId):

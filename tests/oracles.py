@@ -3,7 +3,7 @@
 The oracles deliberately share no code or data layout with the engine:
 TimelineOracle tracks one python set per tick, the schedule oracle does a
 breadth-first sweep over (resource, tick, stage) states, and shortest_ticks
-runs its own Dijkstra over the raw edge list. spatial_path_cost_first is
+and anchor_ticks run their own Dijkstra over the raw edge list. spatial_path_cost_first is
 the one exception: it is the corridor leg search with its former
 cost-first heap order, over the graph's own move lists, and the engine's
 deeper-first order must match it leg for leg. The two anchorisers are the
@@ -156,6 +156,29 @@ def shortest_ticks(graph, source):
             if u not in dist:
                 heapq.heappush(heap, (d + w, u))
     return dist
+
+
+def anchor_ticks(graph, source):
+    """Least travel ticks from ``source`` to each anchor reachable on a route
+    that passes through no other anchor."""
+    adj = {}
+    for e in graph.edges:
+        adj.setdefault(e.a, []).append((e.b, e.weight))
+        if not e.directed:
+            adj.setdefault(e.b, []).append((e.a, e.weight))
+    dist = {}
+    heap = [(0, source)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in dist:
+            continue
+        dist[v] = d
+        if v in graph.anchors and v != source:
+            continue
+        for u, w in adj.get(v, ()):
+            if u not in dist:
+                heapq.heappush(heap, (d + w, u))
+    return {v: d for v, d in dist.items() if v in graph.anchors}
 
 
 def spatial_path_cost_first(g, frm, to, forbidden=frozenset(), guide="none"):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from agvtime import cli, scenarios
+from agvtime import cli, scenarios, scheduling
 from agvtime.anchoring import greedy_anchorise, naive_anchorise
 from agvtime.cli import EXIT_AUDIT, EXIT_FAULT, EXIT_INVALID, EXIT_OK, main
 from agvtime.graph import (
@@ -295,7 +295,7 @@ def test_cli_run_overrides_every_field_of_a_file(tmp_path, capsys):
     )
     assert code == EXIT_OK
     row = drop_runtime((out / "metrics.csv").read_text())[-1]
-    assert row == ["run", "grid6-sub2-r3-a2-d3-seed5", "partial-manhattan", "196", "290", "naive"]
+    assert row == ["run", "grid6-sub2-r3-a2-d3-seed5", "partial-manhattan", "156", "220", "naive"]
 
 
 def test_cli_injected_conflict_fails_audit(tmp_path, capsys):
@@ -717,6 +717,22 @@ def test_cli_stalled_anchorisation_exit_code(tmp_path, capsys):
         assert code == EXIT_FAULT
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "stalled"
+
+
+def test_cli_no_open_anchor_exit_code(tmp_path, capsys, monkeypatch):
+    # Under the graph rules ``run`` checks, an AGV's own anchor is always
+    # open to it, so the chooser is stubbed to find none: the demand faults
+    # with one JSON line, and no file is written.
+    monkeypatch.setattr(scheduling, "choose_anchor", lambda tg, agv, dropoff, start: None)
+    out = tmp_path / "out"
+    code = main(["run", "--grid", "6", "--agvs", "2", "--demands", "3", "--seed", "2", "--out", str(out)])
+    assert code == EXIT_FAULT
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "no-path"
+    assert re.fullmatch(r"no path for demand \d+ \(AGV \d+, preset full-zero\)", err["detail"])
+    assert not (out / "timetable.json").exists()
 
 
 def test_cli_stall_names_each_blocker(tmp_path, capsys):

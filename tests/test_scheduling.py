@@ -5,6 +5,7 @@ import json
 import random
 import tracemalloc
 from itertools import chain
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,6 +18,7 @@ from agvtime.graph import (
     build_adjacency_links,
     build_grid,
     subdivide,
+    validate,
 )
 from agvtime.intervals import INF, GapTree
 from agvtime.pathing import SourceSpec, Stage, time_path
@@ -33,7 +35,7 @@ from agvtime.timegraph import TimeGraph
 from agvtime.scenarios import generate, materialise
 from agvtime.timegraph import Reservation, audit_safety
 
-from oracles import service_faults, shortest_ticks, snapshot_before, timetable_json
+from oracles import anchor_ticks, service_faults, shortest_ticks, snapshot_before, timetable_json
 
 
 def rid_at(g, xy):
@@ -413,7 +415,7 @@ def test_streamed_write_peak_stays_below_its_output(tmp_path):
 
 def anchor_choice_setup():
     """A 5-grid where AGV 9 holds every anchor to INF but two: AGV 2 holds
-    ``held`` until tick 5000, and ``free`` is nobody's."""
+    ``held`` (3, 0) until tick 5000, and ``free`` (0, 2) is nobody's."""
     g = build_grid(5, 10)
     anchors = anchors_sorted(g)
     held, free = anchors[2], anchors[5]
@@ -425,79 +427,206 @@ def anchor_choice_setup():
     return g, tg, anchors, held, free
 
 
-def drew_once(rng, seed, choices):
-    twin = random.Random(seed)
-    twin.choice(choices)
-    return rng.getstate() == twin.getstate()
+def recorded_reads(monkeypatch, tg):
+    """The resources of ``tg.gaps_from`` calls from now on, in call order;
+    each call must be AGV 1's."""
+    reads = []
+    real = tg.gaps_from
+
+    def gaps_from(rid, agv, since):
+        assert agv == 1
+        reads.append(rid)
+        return real(rid, agv, since)
+
+    monkeypatch.setattr(tg, "gaps_from", gaps_from)
+    return reads
 
 
-def test_final_anchor_is_one_free_from_the_start_tick():
-    _, tg, anchors, held, free = anchor_choice_setup()
-    for seed in range(200):
-        rng = random.Random(seed)
-        assert choose_anchor(tg, anchors, 1, 40, rng) == free
-        assert drew_once(rng, seed, [free])
-    # Once the hold has ended by the start tick, both anchors are ready.
-    picked = {choose_anchor(tg, anchors, 1, 5000, random.Random(seed)) for seed in range(40)}
-    assert picked == {held, free}
+def by_nearness(g, dropoff):
+    """Anchors reachable from ``dropoff`` past no other anchor, nearest
+    first, ties to the lower id."""
+    ticks = anchor_ticks(g, dropoff)
+    return sorted(ticks, key=lambda a: (ticks[a], a))
 
 
-def test_final_anchor_falls_back_to_the_open_ones():
+def test_final_anchor_is_one_free_from_the_start_tick(monkeypatch):
+    # With nothing held, the nearest anchor; (1, 0) and (0, 1) are both one
+    # edge from (1, 1), as are (4, 3) and (3, 4) from (3, 3): the lower id wins.
+    g = build_grid(5, 10)
+    tg = TimeGraph(g)
+    assert choose_anchor(tg, 1, rid_at(g, (1, 1)), 0) == rid_at(g, (1, 0))
+    assert choose_anchor(tg, 1, rid_at(g, (3, 3)), 0) == rid_at(g, (4, 3))
+
+    g, tg, anchors, held, free = anchor_choice_setup()
+    reads = recorded_reads(monkeypatch, tg)
+    dropoff = rid_at(g, (3, 1))
+    # ``held`` is one edge away but AGV 2 holds it until 5000: the nearest
+    # ready anchor is ``free``, and only the anchors nearer than it are read.
+    assert choose_anchor(tg, 1, dropoff, 40) == free
+    order = by_nearness(g, dropoff)
+    assert reads == order[: order.index(free) + 1]
+    # Once the hold has ended by the start tick, the nearer one is ready.
+    reads.clear()
+    assert choose_anchor(tg, 1, dropoff, 5000) == held
+    assert reads == [held]
+
+
+def test_final_anchor_falls_back_to_the_open_ones(monkeypatch):
     g, tg, anchors, held, free = anchor_choice_setup()
     tg.reserve(free, 3, 0, 6000)
-    picked = set()
-    for seed in range(40):
-        rng = random.Random(seed)
-        anchor = choose_anchor(tg, anchors, 1, 40, rng)
-        assert drew_once(rng, seed, [held, free])
-        picked.add(anchor)
+    reads = recorded_reads(monkeypatch, tg)
+    # No anchor is ready, so every anchor is read once, nearest first, and
+    # the nearest open one is chosen.
+    for xy, anchor in (((3, 1), held), ((1, 2), free)):
+        reads.clear()
+        dropoff = rid_at(g, xy)
+        assert choose_anchor(tg, 1, dropoff, 40) == anchor
+        assert reads == by_nearness(g, dropoff) and sorted(reads) == anchors
         # The demand still plans: it waits for the anchor's hold to end.
         stages = [
             Stage({rid_at(g, (2, 1))}, 0),
-            Stage({rid_at(g, (2, 3))}, 0),
+            Stage({dropoff}, 0),
             Stage({anchor}, INF),
         ]
         p = time_path(tg, 1, SourceSpec(rid_at(g, (1, 1))), stages, earliest=40)
         assert p is not None
         assert p.steps[-1].resource == anchor and p.steps[-1].end == INF
         assert p.arrival >= (5000 if anchor == held else 6000)
-    assert picked == {held, free}
+    # With every anchor held to INF by another AGV, none is open.
+    tg.reserve(held, 9, 5000, INF)
+    tg.reserve(free, 9, 6000, INF)
+    assert choose_anchor(tg, 1, rid_at(g, (2, 2)), 40) is None
 
 
 def test_final_anchor_reads_one_gap_list_per_anchor(monkeypatch):
-    _, tg, anchors, held, free = anchor_choice_setup()
+    g, tg, anchors, held, free = anchor_choice_setup()
     own, shared, late = anchors[0], anchors[1], anchors[3]
     tg.remove_all([Reservation(own, 9, 0, INF), Reservation(late, 9, 0, 5000)])
     tg.reserve(own, 1, 0, INF)
     tg.reserve(shared, 1, 0, INF)
-    reads = []
-    real = tg.gaps_from
+    reads = recorded_reads(monkeypatch, tg)
 
-    def gaps_from(rid, agv, since):
-        reads.append(rid)
-        return real(rid, agv, since)
+    def chosen(xy):
+        # Reads stop at a ready pick; with none ready, every anchor is read.
+        reads.clear()
+        anchor = choose_anchor(tg, 1, rid_at(g, xy), 40)
+        order = by_nearness(g, rid_at(g, xy))
+        assert reads in (order[: order.index(anchor) + 1], order)
+        return anchor
 
-    monkeypatch.setattr(tg, "gaps_from", gaps_from)
-
-    def draws(choices):
-        picked = set()
-        for seed in range(40):
-            rng = random.Random(seed)
-            reads.clear()
-            picked.add(choose_anchor(tg, anchors, 1, 40, rng))
-            assert reads == anchors
-            assert drew_once(rng, seed, choices)
-        return picked
-
-    # AGV 1's own hold to INF leaves its anchor open and ready; the one it
-    # shares with AGV 9 is closed.
-    assert draws([own, free]) == {own, free}
-    # Once other AGVs hold them for a while, neither is ready; the draw falls
-    # back to the open anchors. The shared one is still not among them, nor
-    # the one free until AGV 9's hold to INF starts.
+    # AGV 1's own hold to INF leaves its anchor (1, 0) open and ready; the
+    # one it shares with AGV 9, (2, 0), is closed and passed over for it.
+    assert chosen((1, 1)) == own and reads == [own]
+    assert chosen((2, 1)) == own and reads == [shared, own]
+    assert chosen((1, 3)) == free and reads[-1] == free and len(reads) < len(anchors)
+    # Once other AGVs hold them for a while, no anchor is ready: the nearest
+    # open one, of (1, 0) and (3, 0) two edges from (2, 1), is the lower id.
     tg.reserve(own, 2, 0, 6000)
     tg.reserve(free, 3, 0, 6000)
-    assert draws([own, held, free]) == {own, held, free}
+    assert chosen((2, 1)) == own
+    assert sorted(reads) == anchors
+    assert chosen((1, 2)) == free
+    assert sorted(reads) == anchors
+    # With (1, 0) closed as well, both anchors one edge from (1, 1) are
+    # passed over for (0, 2), two edges away.
+    tg.reserve(own, 9, 6000, INF)
+    assert chosen((1, 1)) == free
+    assert reads[:2] == [own, late]
+
+
+def explicit_weighted_grid(rng):
+    """``build_grid(6, 1)`` spelled out without coords, edge weights drawn
+    from 1 to 3, one edge in five one way, and three more edges from an
+    anchor to an inner node, so that a route through an anchor can be a
+    shortcut."""
+    g = build_grid(6, 1)
+    edges = [Edge(e.a, e.b, rng.randint(1, 3), rng.random() < 0.2) for e in g.edges]
+    inner = [v for v in range(g.num_nodes) if v not in g.anchors]
+    for a in rng.sample(sorted(g.anchors), 3):
+        edges.append(Edge(a, rng.choice(inner), 1))
+    return ResourceGraph(g.num_nodes, edges, g.anchors)
+
+
+def test_final_anchor_matches_the_nearest_ready_reference(monkeypatch):
+    # Random holds on the anchors of small grids, one subdivided grid and
+    # explicit graphs without coords; the chooser must pick what the rule
+    # says, from travel ticks the engine does not compute and from the holds
+    # themselves, and read only the anchors nearer than its pick, each once.
+    rng = random.Random(7)
+    graphs = [build_grid(n, w) for n in (4, 5, 6, 7) for w in (1, 10)]
+    graphs.append(subdivide(build_grid(5, 12), 2))
+    while len(graphs) < 14:
+        g = explicit_weighted_grid(rng)
+        if validate(g, 1) is None:
+            graphs.append(g)
+    seen = set()
+    for g in graphs:
+        anchors = anchors_sorted(g)
+        plain = [v for v in range(g.num_nodes) if v not in g.anchors]
+        for _ in range(25):
+            # Some trials hold nearly every anchor, most of them to INF.
+            p_held, p_inf = rng.choice((0.3, 0.9, 1.0)), rng.choice((0.3, 0.9, 1.0))
+            tg = TimeGraph(g)
+            holds = {a: [] for a in anchors}
+            for a in anchors:
+                for agv, p in ((1, 0.2), (rng.choice((2, 3)), p_held)):
+                    if rng.random() < p:
+                        start = rng.choice((0, rng.randint(0, 300)))
+                        end = INF if rng.random() < p_inf else start + rng.randint(1, 300)
+                        tg.reserve(a, agv, start, end)
+                        holds[a].append((agv, end))
+            reads = recorded_reads(monkeypatch, tg)
+            for _ in range(4):
+                dropoff, start = rng.choice(plain), rng.randint(0, 400)
+                others = {a: [end for agv, end in holds[a] if agv != 1] for a in anchors}
+                ready = [a for a in anchors if all(end <= start for end in others[a])]
+                open_ = [a for a in anchors if INF not in others[a]]
+                order = by_nearness(g, dropoff)
+                want = next((a for a in order if a in ready), None)
+                if want is None:
+                    want = next((a for a in order if a in open_), None)
+                reads.clear()
+                got = choose_anchor(tg, 1, dropoff, start)
+                assert got == want, (g.num_nodes, dropoff, start)
+                if got is not None and got in ready:
+                    assert reads == order[: order.index(got) + 1]
+                    seen.add("ready" if reads[-1] == order[0] else "passed over")
+                else:
+                    assert reads == order
+                    seen.add("open" if got is not None else "none")
+    assert seen == {"ready", "passed over", "open", "none"}
+
+
+def test_the_run_rng_only_shuffles_each_batch(monkeypatch):
+    # The run's rng draws nothing but one shuffle per horizon batch, so its
+    # state after a run equals a twin's that shuffled lists of those sizes.
+    rngs = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.seed_used = seed
+            rngs.append(self)
+
+    monkeypatch.setattr(scheduling, "random", SimpleNamespace(Random=Recorded))
+    for tt, demands, _ in mixed_horizon_plans():
+        (rng,) = rngs
+        rngs.clear()
+        twin = random.Random(rng.seed_used)
+        for h in sorted(set(d.horizon for d in demands)):
+            twin.shuffle([d for d in demands if d.horizon == h])
+        assert rng.getstate() == twin.getstate()
+
+
+def test_no_open_anchor_is_a_no_path_fault():
+    # Node 5 is entered one way only, so no anchor can be reached from it.
+    # The graph rules the CLI checks rule this out; build_timetable, called
+    # directly, reports the demand as a fault.
+    edges = [Edge(0, 1, 1), Edge(1, 2, 1), Edge(2, 3, 1), Edge(3, 4, 1), Edge(2, 5, 1, True)]
+    g = ResourceGraph(6, edges, {0, 4})
+    with pytest.raises(scheduling.NoPathFault) as err:
+        build(g, {1: SourceSpec(0)}, [Demand(7, 1, 5)])
+    assert (err.value.demand_id, err.value.agv, err.value.preset) == (7, 1, "full-zero")
 
 
 # Small seeded scenarios over every preset and both anchorisers, one of them
@@ -532,14 +661,14 @@ def pinned_plans():
 
 
 def test_planned_timetables_are_pinned():
-    # Digest taken once each demand went to the AGV free first; a change
-    # that promises the same plans must keep it.
+    # Digest taken once each route ended on the ready anchor nearest its
+    # dropoff; a change that promises the same plans must keep it.
     digest = hashlib.sha256()
     for tt, demands, stops in pinned_plans():
         assert_clean(tt)
         assert service_faults(tt, demands, *stops) == []
         digest.update(tt.to_json().encode())
-    assert digest.hexdigest() == "2ca85c75a046ddbf35309bebd0d04f1e57a5c7fc8a338617c0ced63eab26713c"
+    assert digest.hexdigest() == "69b2f39f081664807284da347fa41e279b43a50552d836cc2c5e255844f6ee9d"
 
 
 def test_zero_length_steps_share_their_tick():
@@ -579,13 +708,14 @@ def mixed_horizon_plans():
 
 
 def test_mixed_horizon_batches_are_pinned():
-    # Digest taken once each demand went to the AGV free first.
+    # Digest taken once each route ended on the ready anchor nearest its
+    # dropoff.
     digest = hashlib.sha256()
     for tt, demands, stops in mixed_horizon_plans():
         assert_clean(tt)
         assert service_faults(tt, demands, *stops) == []
         digest.update(tt.to_json().encode())
-    assert digest.hexdigest() == "c16adf72110aff1907334ff3f796930f528b36d4b5978fa6bfee5d74c6eac26f"
+    assert digest.hexdigest() == "e603a91cee41e39f5dc708cdcfc37f80a9a5529359ff172eb1f60fe2c1780609"
 
 
 def test_each_demand_goes_to_the_agv_free_first(monkeypatch):

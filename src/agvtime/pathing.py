@@ -17,10 +17,9 @@ A label is its own heap entry, a plain tuple
 ``(f, -stage, -entry, node, seq, agv, wstart, wend, parent, via)``: ``f`` is
 the entry tick plus the guide's bound on the ticks still to go, ``wstart`` and
 ``wend`` bound its gap window, ``parent`` is the entry it grew from and
-``via`` the edge crossing into it. ``seq`` counts pushes, so it is unique and
-every comparison of two entries ends on it at the latest: none ever reaches
-``parent`` or the fields after ``seq``. The guide runs once per pushed label,
-after the label has passed its dominance test.
+``via`` the edge crossing into it. ``seq`` numbers pushes in order; no two
+queued entries agree up to it, so every comparison of two entries ends on it
+at the latest: none ever reaches ``parent`` or the fields after ``seq``.
 
 Labels leave the heap in the order of ``(f, -stage, -entry, node, seq)``.
 Among equal ``f`` the later stage goes first (a finished route first of all),
@@ -33,6 +32,37 @@ least ``f`` of all, and a finished label's ``f`` is its arrival. Tie order
 only picks among paths of equal arrival. Under the zero guide ``f`` is the
 entry tick itself, so ``-entry`` breaks no tie: labels leave in entry order,
 then later stage, then lower node id, then push order.
+
+A move that raises the guide is deferred, as in partial-expansion A*
+(Yoshizumi, Miura & Ishida, "A* with Partial Expansion for Large Branching
+Factor Problems", AAAI 2000). When a label of guide value ``f - entry`` pops,
+a move of ``w`` ticks to a ``dest`` whose guide value is higher reads no
+windows and pushes no label. It leaves one stand-in on a side heap, keyed
+``entry + w + guide(dest)``, at most the ``f`` of any label the move can give.
+The search expands that one move, reading its windows then, once the stand-in
+sorts before the least label; a stand-in goes before every label of equal
+``f`` and stage. Under the Manhattan guide these are the moves away from the
+target, and most of their labels would lie above the arrival and never pop.
+The labels pop in the order, and with the parents, of the eager search that
+expands every move at once:
+
+- a label the eager search pops before a given label is either queued by
+  then or behind a stand-in that sorts before that label, so it comes out in
+  time;
+- a stand-in takes the push number its move's labels would have taken and
+  gives it to each of them, so push numbers keep their eager order and break
+  the same ties among racers (one stand-in's labels all differ in entry);
+- a late label can meet a queued label with the same dominance key and
+  entry. It is queued beside it, not dropped: the lower push number, the one
+  the eager search pushed first and kept, pops first, and the other pops
+  stale.
+
+A label of guide value 0 defers nothing, so under the zero guide (``full-zero``
+and ``partial-*`` demand searches, a bounded race's second pass) the search
+does the eager search's work: the guide runs once per pushed label, after its
+dominance test. A label of positive guide value calls the guide once per move
+it examines and reuses the value for each label the move pushes; expanding a
+stand-in calls it once more.
 
 A race may also carry a bound: a consistent guide that never orders the
 search, only cuts it, and never exceeds the ticks still to go on any route
@@ -197,6 +227,18 @@ def manhattan_guide(g: ResourceGraph, stages) -> GuideFn:
         pair = min(dist(a, tcoords[k + 1]) for a in stages[k].targets)
         suffix[k] = suffix[k + 1] + pair + stages[k].stop
 
+    if all(len(tc) == 1 for tc in tcoords):  # every scheduling route: no min loop
+        one = [tc[0] for tc in tcoords]
+
+        def h(node, stage):
+            if stage >= K:
+                return 0.0
+            vx, vy = coords[node]
+            tx, ty = one[stage]
+            return unit * (abs(vx - tx) + abs(vy - ty)) + suffix[stage]
+
+        return h
+
     def h(node, stage):
         if stage >= K:
             return 0.0
@@ -313,19 +355,28 @@ def _search(
     ``(f, -stage, -entry, node, seq, agv, wstart, wend, parent, via)``, where
     ``f`` is ``entry + guide``, ``parent`` is the popped entry it grew from
     and ``via`` the (edge rid, depart, arrive) crossing into it, or None.
-    ``seq`` counts pushes, so no two entries tie on it and no comparison
-    reaches the payload after it. The guide runs once per pushed label, after
-    the dominance test. Equal-f ties go to the later stage, then the deeper
-    label. A consistent guide keeps the first finished label's arrival
-    minimal under any tie order, and under the zero guide the key is plain
-    entry order (see the module docstring). With a ``bound``, labels whose
-    ``entry + bound`` exceeds ``limit`` are dropped.
+    Equal-f ties go to the later stage, then the deeper label. A consistent
+    guide keeps the first finished label's arrival minimal under any tie
+    order, and under the zero guide the key is plain entry order (see the
+    module docstring). With a ``bound``, labels whose ``entry + bound``
+    exceeds ``limit`` are dropped.
+
+    A move that raises the guide above ``f - entry`` leaves the stand-in
+    ``(entry + w + guide(dest), -stage, -INF, seq, label, edge rid, dest,
+    w)`` on ``side``; -INF sorts it before every label of its ``f`` and
+    stage. Once it sorts before the least label the search expands its one
+    move, reading the guide at ``dest`` again, numbering the labels ``seq``
+    and queueing one that ties a queued label's entry beside it, so they pop
+    as the eager search's do (see the module docstring). The guide runs once
+    per pushed label out of a label of guide value 0, and once per examined
+    move otherwise.
     """
     K = len(stages)
     moves = tg.graph.moves
     gaps_from = tg.gaps_from
     heappush, heappop = heapq.heappush, heapq.heappop
     heap = []
+    side = []  # stand-ins of deferred moves
     seq = itertools.count()
     best = {}
     bounded = bound is not None  # a plain local: push() closes over bound
@@ -353,27 +404,42 @@ def _search(
             if root is not None and (allowed is None or root[0] in allowed):
                 node, ws, we, entry, via = root
                 push(agv, node, ws, we, entry, 0, None, via)
-        if not heap:
-            return None
-        lab = heappop(heap)
-        _, stage, entry, node, _, agv, wstart, wend, _, _ = lab
-        stage, entry = -stage, -entry
-        key = (agv, node, wstart, stage)
-        if best.get(key) != entry:
-            continue
-        best[key] = -1  # closed; real entries are never negative
-        if stage == K:
-            return lab
-        st = stages[stage]
-        # An infinite stop, only ever the last, fits only a window to INF.
-        if node in st.targets and entry + st.stop <= wend:
-            if stage == K - 1:
-                push(agv, node, wstart, wend, entry, K, lab, None)
-            else:
-                push(agv, node, wstart, wend, entry + st.stop, stage + 1, lab, None)
+        if side and (not heap or side[0] < heap[0]):
+            # A deferred move's key is reached: expand that move alone, its
+            # labels numbered as the stand-in.
+            _, _, _, rank, lab, erid, dest, w = heappop(side)
+            _, stage, entry, _, _, agv, _, wend, _, _ = lab
+            stage, entry = -stage, -entry
+            todo = ((erid, dest, w),)
+            rise = INF  # the guide is read again and defers nothing
+            newest = False
+            ranks = itertools.repeat(rank)
+        else:
+            if not heap:
+                return None
+            lab = heappop(heap)
+            f, stage, entry, node, _, agv, wstart, wend, _, _ = lab
+            stage, entry = -stage, -entry
+            key = (agv, node, wstart, stage)
+            if best.get(key) != entry:
+                continue
+            best[key] = -1  # closed; real entries are never negative
+            if stage == K:
+                return lab
+            st = stages[stage]
+            # An infinite stop, only ever the last, fits only a window to INF.
+            if node in st.targets and entry + st.stop <= wend:
+                if stage == K - 1:
+                    push(agv, node, wstart, wend, entry, K, lab, None)
+                else:
+                    push(agv, node, wstart, wend, entry + st.stop, stage + 1, lab, None)
+            todo = moves[node]
+            rise = f - entry  # the guide's value here; a move above it waits
+            newest = True  # numbered after every queued label, so a tie loses
+            ranks = seq
         memo = memos[agv]
         last = wend  # latest departure worth a label; a bound lowers it per move
-        for erid, dest, w in moves[node]:
+        for erid, dest, w in todo:
             if allowed is not None and (erid not in allowed or dest not in allowed):
                 continue
             if bounded:
@@ -382,6 +448,11 @@ def _search(
                     continue  # before the windows are read
                 if last > wend:
                     last = wend
+            if rise:
+                hd = guide(dest, stage)
+                if hd > rise:
+                    heappush(side, (entry + w + hd, -stage, -INF, next(seq), lab, erid, dest, w))
+                    continue
             edge_windows = memo.get(erid)
             if edge_windows is None:
                 edge_windows = memo[erid] = gaps_from(erid, agv, earliest)
@@ -407,11 +478,11 @@ def _search(
                     # push(), inlined: this is the search's hot path.
                     key = (agv, dest, ds, stage)
                     old = best.get(key)
-                    if old is not None and old <= arr:
+                    if old is not None and old <= arr and (newest or old != arr):
                         continue
                     best[key] = arr
-                    nxt = (arr + guide(dest, stage), -stage, -arr, dest, next(seq), agv, ds, de, lab, (erid, dep, arr))
-                    heappush(heap, nxt)
+                    f = arr + (hd if rise else guide(dest, stage))
+                    heappush(heap, (f, -stage, -arr, dest, next(ranks), agv, ds, de, lab, (erid, dep, arr)))
 
 
 def _emit(done, final_stop) -> tuple[Step, ...]:

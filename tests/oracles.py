@@ -18,18 +18,34 @@ Timetable.to_json must match byte for byte. audit_by_gap_query is the safety
 audit's former rule, a window gap query per claim, which audit_safety's
 one-walk read must match claim for claim. service_faults checks that a
 timetable serves its demands, each by one route of its own, read off the
-committed paths alone.
+committed paths alone. eager_multi_source_time_path is the route search as it
+was before it deferred the moves that raise the guide: every move out of a
+popped label reads its windows and pushes its labels at once, and the guide
+runs once per pushed label. The engine must return its path exactly.
 """
 
 import heapq
 import io
+import itertools
 import json
 import random
+from operator import itemgetter
 
 from agvtime.anchoring import AnchorResult, hold, initialise_reservations
 from agvtime.footprint import boundary_reservations
 from agvtime.intervals import INF, fmt_tick
-from agvtime.pathing import NearestTarget, Stage, multi_source_time_path, time_path
+from agvtime.pathing import (
+    NearestTarget,
+    Stage,
+    TimePath,
+    _emit,
+    _source_label,
+    check_source,
+    check_stages,
+    multi_source_time_path,
+    time_path,
+    zero_guide,
+)
 from agvtime.timegraph import SafetyViolation
 
 
@@ -282,6 +298,115 @@ def greedy_anchorise_fixed_bound(tg, links, placements):
         paths[p.agv] = p
         pending.discard(p.agv)
     return AnchorResult(paths, frozenset(), attempts)
+
+
+def eager_search(tg, racers, roots, memos, stages, guide, earliest, allowed, bound=None, limit=INF):
+    """``pathing._search`` with every move expanded when its label pops."""
+    K = len(stages)
+    moves = tg.graph.moves
+    heap = []
+    seq = itertools.count()
+    best = {}
+
+    def push(agv, node, wstart, wend, entry, stage, parent, via):
+        if bound is not None and entry + bound(node, stage) > limit:
+            return
+        key = (agv, node, wstart, stage)
+        old = best.get(key)
+        if old is not None and old <= entry:
+            return
+        best[key] = entry
+        f = entry + guide(node, stage)
+        heapq.heappush(heap, (f, -stage, -entry, node, next(seq), agv, wstart, wend, parent, via))
+
+    admitted = 0
+    while True:
+        while admitted < len(racers) and (not heap or racers[admitted][0] <= heap[0][0]):
+            _, agv, spec, head = racers[admitted]
+            admitted += 1
+            if agv not in roots:
+                roots[agv] = _source_label(tg, memos[agv], agv, spec, head, earliest)
+            root = roots[agv]
+            if root is not None and (allowed is None or root[0] in allowed):
+                node, ws, we, entry, via = root
+                push(agv, node, ws, we, entry, 0, None, via)
+        if not heap:
+            return None
+        lab = heapq.heappop(heap)
+        _, stage, entry, node, _, agv, wstart, wend, _, _ = lab
+        stage, entry = -stage, -entry
+        key = (agv, node, wstart, stage)
+        if best.get(key) != entry:
+            continue
+        best[key] = -1
+        if stage == K:
+            return lab
+        st = stages[stage]
+        if node in st.targets and entry + st.stop <= wend:
+            if stage == K - 1:
+                push(agv, node, wstart, wend, entry, K, lab, None)
+            else:
+                push(agv, node, wstart, wend, entry + st.stop, stage + 1, lab, None)
+        memo = memos[agv]
+        for erid, dest, w in moves[node]:
+            if allowed is not None and (erid not in allowed or dest not in allowed):
+                continue
+            last = wend
+            if bound is not None:
+                last = min(wend, limit - w - bound(dest, stage))
+                if last < entry:
+                    continue
+            for rid in (erid, dest):
+                if rid not in memo:
+                    memo[rid] = tg.gaps_from(rid, agv, earliest)
+            for es, ee in memo[erid]:
+                if es > last:
+                    break
+                if ee < entry + w or ee - es < w:
+                    continue
+                first = max(es, entry)
+                for ds, de in memo[dest]:
+                    if ds - w > last or ds > ee:
+                        break
+                    if de <= entry + w:
+                        continue
+                    dep = max(ds - w, first)
+                    arr = dep + w
+                    if dep > last or arr > ee or arr >= de:
+                        continue
+                    push(agv, dest, ds, de, arr, stage, lab, (erid, dep, arr))
+
+
+def eager_multi_source_time_path(tg, sources, stages, *, earliest=0, guide=None, allowed=None, bound=None):
+    """``pathing.multi_source_time_path`` over ``eager_search``."""
+    check_stages(stages)
+    g = tg.graph
+    if guide is None:
+        guide = zero_guide(g, stages)
+    memos = {agv: {} for agv, _ in sources}
+    roots = {}
+    racers = []
+    for agv, spec in sources:
+        head = check_source(g, spec)
+        if bound is None:
+            low = -INF
+        elif head is None:
+            low = earliest + bound(spec.resource, 0)
+        else:
+            low = earliest + (g.edge_at(spec.resource).weight - spec.elapsed) + bound(head, 0)
+        racers.append((low, agv, spec, head))
+    if bound is None:
+        done = eager_search(tg, racers, roots, memos, stages, guide, earliest, allowed)
+    else:
+        first = sorted(racers, key=itemgetter(0))
+        done = eager_search(tg, first, roots, memos, stages, bound, earliest, allowed)
+        if done is not None:
+            best = -done[2]
+            kept = [(-INF, *r[1:]) for r in racers if r[0] <= best]
+            done = eager_search(tg, kept, roots, memos, stages, guide, earliest, allowed, bound, best)
+    if done is None:
+        return None
+    return TimePath(done[5], _emit(done, stages[-1].stop), -done[2])
 
 
 def counted_reads(monkeypatch, tg):

@@ -1,10 +1,12 @@
 """Earliest-arrival search: boundary semantics, guides, and an exhaustive oracle."""
 
 import hashlib
+import heapq
 import random
 
 import pytest
 
+from agvtime import pathing
 from agvtime.graph import (
     Edge,
     InvalidParameterError,
@@ -26,7 +28,13 @@ from agvtime.pathing import (
 )
 from agvtime.timegraph import TimeGraph, audit_safety
 
-from oracles import counted_reads, exhaustive_earliest_arrival, nearest_target_guide, shortest_ticks
+from oracles import (
+    counted_reads,
+    eager_multi_source_time_path,
+    exhaustive_earliest_arrival,
+    nearest_target_guide,
+    shortest_ticks,
+)
 
 
 def line(weights, anchors=()):
@@ -467,23 +475,32 @@ def test_race_admits_racers_by_their_bound(monkeypatch):
     assert got == race_result(tg, sources, stages)
 
 
-def test_guided_plateau_runs_deep():
+def counted_pushes(monkeypatch):
+    """Labels the searches push from now on, as a one-item list; the
+    stand-ins of deferred moves, -INF where a label has -entry, are not
+    labels."""
+    pushed = [0]
+    real = heapq.heappush
+
+    def heappush(heap, item):
+        pushed[0] += item[2] != -INF
+        real(heap, item)
+
+    monkeypatch.setattr(pathing.heapq, "heappush", heappush)
+    return pushed
+
+
+def test_guided_plateau_runs_deep(monkeypatch):
     # On an empty grid every label on a shortest route has the same f; ties
-    # broken toward the deepest label walk one route (47 labels here) where
-    # breadth-first ties would build 97. The guide runs once per pushed
-    # label, so its calls count the labels.
+    # broken toward the deepest label walk one route (47 labels with every
+    # move expanded at once, where breadth-first ties built 97), and a move
+    # that raises the guide is never expanded: 26 labels here.
     g = build_grid(10, 10)
     stages = [Stage({rid_at(g, (8, 8))}, 0)]
-    h = manhattan_guide(g, stages)
-    calls = []
-
-    def guide(node, stage):
-        calls.append(node)
-        return h(node, stage)
-
-    p = time_path(TimeGraph(g), 1, SourceSpec(rid_at(g, (1, 1))), stages, guide=guide)
+    pushed = counted_pushes(monkeypatch)
+    p = time_path(TimeGraph(g), 1, SourceSpec(rid_at(g, (1, 1))), stages, guide=manhattan_guide(g, stages))
     assert p.arrival == 140
-    assert len(calls) <= 50
+    assert pushed[0] <= 30
 
 
 def test_search_is_deterministic():
@@ -607,8 +624,8 @@ def counted(h, tag, calls):
 
 
 def work_digest(monkeypatch, searches):
-    """sha256 over each search's guide calls, one per pushed label, and its
-    tg.gaps_from reads; ``searches`` yields (search, calls, tg, args, kwargs)."""
+    """sha256 over each search's guide calls and its tg.gaps_from reads;
+    ``searches`` yields (search, calls, tg, args, kwargs)."""
     digest = hashlib.sha256()
     for search, calls, tg, args, kwargs in searches:
         calls.clear()
@@ -621,8 +638,9 @@ def work_digest(monkeypatch, searches):
 def test_search_work_is_pinned(monkeypatch):
     # The zero and the Manhattan guide over seeded_setup seeds 0-39. A change
     # that only makes a label or a gap read cheaper must leave every search
-    # doing the same work in the same order. Digest taken before bounded
-    # races admitted their racers by bound, which these searches never are.
+    # doing the same work in the same order. Digest taken once moves that
+    # raise the guide were deferred, so the Manhattan guide runs once per
+    # examined move and the zero guide still once per pushed label.
     def searches():
         calls = []
         for seed in range(40):
@@ -632,7 +650,7 @@ def test_search_work_is_pinned(monkeypatch):
                 yield time_path, calls, tg, (1, SourceSpec(src), stages), {"guide": guide}
 
     assert work_digest(monkeypatch, searches()) == (
-        "bd1bbbd8148ee9000c2d978dc3204420e65d26254722e75cda264cd23cdd79b4"
+        "5cffaa747e44b97d06bc8d4a246d02647e2e964f019a26b4bf46271981482eea"
     )
 
 
@@ -663,3 +681,88 @@ def test_race_work_is_pinned(monkeypatch):
     assert work_digest(monkeypatch, searches()) == (
         "794f6eb9bf508915f01737bf0b19eb921e6460f70ad38014bf1d4b07b6fd7b84"
     )
+
+
+def multi_source_races():
+    """The test_multi_source_* races as (tg, sources, stages, earliest)."""
+    g = line([10, 20])
+    sources = [(1, SourceSpec(0)), (2, SourceSpec(2))]
+    yield TimeGraph(g), sources, [Stage({1}, 0)], 0
+    tg = TimeGraph(g)
+    tg.reserve(1, 2, 0, 40)
+    yield tg, sources, [Stage({1}, 0)], 0
+    sources = [(1, SourceSpec(4, elapsed=2)), (2, SourceSpec(6, elapsed=5))]
+    yield TimeGraph(line([10, 10, 10])), sources, [Stage({3}, 0)], 3
+
+
+def searched(search, tg, *args, **kwargs):
+    """``search``'s result and its gap reads per (resource, agv)."""
+    with pytest.MonkeyPatch.context() as mp:
+        reads = counted_reads(mp, tg)
+        return search(tg, *args, **kwargs), reads
+
+
+def crowded_race(seed):
+    """A seeded race on a small grid crowded with holds, some the racers'
+    own: (tg, sources, stages, earliest), over one to three stages."""
+    rng = random.Random(seed)
+    g = build_grid(rng.choice((4, 5, 7)), rng.choice((1, 2, 3)))
+    tg = TimeGraph(g)
+    racers = rng.sample(range(1, 9), rng.randrange(1, 5))
+    for _ in range(rng.randrange(4, 40)):
+        s, owner = rng.randrange(0, 60), rng.choice((9, 9, *racers))
+        tg.reserve(rng.randrange(g.num_resources), owner, s, s + rng.randrange(1, 15))
+    sources = []
+    for agv in racers:
+        rid = rng.randrange(g.num_resources)
+        elapsed = 0 if g.is_node(rid) else rng.randrange(g.edge_at(rid).weight)
+        sources.append((agv, SourceSpec(rid, elapsed=elapsed)))
+    targets = set(rng.sample(range(g.num_nodes), rng.randrange(1, 4)))
+    stages = [Stage(targets, rng.choice((0, 2, INF)))]
+    if rng.random() < 0.5:
+        stages = [
+            Stage(targets, rng.randrange(3)),
+            Stage({rng.randrange(g.num_nodes)}, rng.randrange(3)),
+            Stage({rng.randrange(g.num_nodes)}, 0),
+        ]
+    return tg, sources, stages, rng.choice((0, 0, rng.randrange(1, 20)))
+
+
+def test_deferred_moves_change_no_path():
+    # The search defers each move that raises the guide until it reaches the
+    # move's bound; the eager search expanded every move at once. Both return
+    # the same TimePath on seeded_setup seeds 0-39 under both guides (the
+    # zero guide defers nothing, so it reads the same gaps too) and on the
+    # test_multi_source_* races bounded by the exact nearest-target guide,
+    # whose first pass that bound orders. Under the Manhattan guide most
+    # deferred moves are never expanded, so fewer gaps are read in all.
+    guided = []
+    for seed in range(40):
+        g, tg, _, src, stages = seeded_setup(seed)
+        for make_guide in (zero_guide, manhattan_guide):
+            args = ([(1, SourceSpec(src))], stages)
+            got, reads = searched(multi_source_time_path, tg, *args, guide=make_guide(g, stages))
+            want, eager_reads = searched(eager_multi_source_time_path, tg, *args, guide=make_guide(g, stages))
+            assert got == want, (seed, make_guide)
+            if make_guide is zero_guide:
+                assert reads == eager_reads, seed
+            else:
+                guided.append((sum(reads.values()), sum(eager_reads.values())))
+    assert sum(r for r, _ in guided) < sum(e for _, e in guided)
+    races = [(*race, nearest_target_guide(race[0].graph, race[2]), None) for race in multi_source_races()]
+    # A deferred move's labels are pushed late. In crowded races 424 and
+    # 2027 one of them enters a dominance key at the same tick as a label
+    # pushed after its stand-in: the eager search kept the older of the
+    # two, so the late one is queued beside it and its older push number
+    # pops first. In races 334 and 472 racers' labels tie up to their push
+    # numbers, which stand-ins keep in the eager order. Any other tie rule
+    # changes a path there.
+    for seed in (334, 424, 472, 2027):
+        tg, sources, stages, earliest = crowded_race(seed)
+        guide = manhattan_guide(tg.graph, stages)
+        for bound in (None, nearest_target_guide(tg.graph, stages), guide):
+            races.append((tg, sources, stages, earliest, bound, guide))
+    for tg, sources, stages, earliest, bound, guide in races:
+        kwargs = {"earliest": earliest, "bound": bound, "guide": guide}
+        got = multi_source_time_path(tg, sources, stages, **kwargs)
+        assert got == eager_multi_source_time_path(tg, sources, stages, **kwargs)

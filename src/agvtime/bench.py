@@ -1,9 +1,12 @@
-"""Benchmark suites producing one stable CSV schema.
+"""The reservers benchmark suite and the CSV schema it shares with ``run``.
 
 Columns: suite,param,algorithm,runtime_ms,makespan,total_distance,note.
-Empty cells stay empty; runtime_ms is wall clock and excluded from any
-determinism promise. The reservers suite carries a correctness verdict in
-``note`` because it times two algorithms that must emit identical coverage.
+Empty cells stay empty; runtime_ms is excluded from any determinism promise.
+The suite times the naive and the boundary-sweep footprint expansion of one
+route per subdivision, the paper's O(nm) -> O(n) claim; its runtime_ms is
+the expanding thread's CPU time, which other processes on the same cores
+move far less than they move the wall clock. It carries a correctness verdict in ``note`` because the two
+algorithms must emit identical coverage.
 """
 
 from __future__ import annotations
@@ -11,14 +14,10 @@ from __future__ import annotations
 import gc
 import time
 
-from .anchoring import greedy_anchorise, naive_anchorise
 from .footprint import boundary_reservations, naive_reservations, normalise
 from .graph import build_adjacency_links, build_grid, spatial_path, subdivide
 from .intervals import INF
 from .pathing import Step
-from .scenarios import generate, materialise
-from .scheduling import PRESETS, Timetable, build_timetable, metrics
-from .timegraph import TimeGraph
 
 CSV_HEADER = "suite,param,algorithm,runtime_ms,makespan,total_distance,note"
 
@@ -29,56 +28,6 @@ def csv_row(suite, param, algorithm, runtime_ms, makespan="", distance="", note=
 
 def _fmt_ms(seconds: float) -> str:
     return f"{seconds * 1000.0:.3f}"
-
-
-def bench_anchorisers(*, grid=20, agv_counts=(5, 10, 20), seed=0):
-    rows = []
-    for i, count in enumerate(agv_counts):
-        sc = generate(grid=grid, agvs=count, demands=0, seed=seed + i)
-        g, links, placements, _ = materialise(sc)
-        for name, run in (("naive", naive_anchorise), ("greedy", greedy_anchorise)):
-            tg = TimeGraph(g)
-            kwargs = {"seed": sc.seed} if name == "naive" else {}
-            t0 = time.perf_counter()
-            res = run(tg, links, placements, **kwargs)
-            elapsed = time.perf_counter() - t0
-            tt = Timetable({agv: [p] for agv, p in res.paths.items()}, tg)
-            note = "stalled" if res.stalled else ""
-            rows.append(
-                csv_row("anchorisers", count, name, _fmt_ms(elapsed), tt.makespan(), tt.total_distance(), note)
-            )
-    return rows
-
-
-def bench_presets(*, sizes=(8, 12, 16, 20, 30), agvs=4, demands=40, seed=0):
-    rows = []
-    for i, n in enumerate(sizes):
-        sc = generate(grid=n, agvs=agvs, demands=demands, seed=seed + i)
-        g, links, placements, ds = materialise(sc)
-        for preset in PRESETS:
-            tt = build_timetable(
-                g,
-                links,
-                placements,
-                ds,
-                preset=preset,
-                anchoriser=sc.anchoriser,
-                stop_pickup=sc.stop_pickup,
-                stop_dropoff=sc.stop_dropoff,
-                seed=sc.seed,
-            )
-            m = metrics(tt)
-            rows.append(
-                csv_row(
-                    "presets",
-                    n,
-                    preset,
-                    f"{m['runtime_ms']:.3f}",
-                    m["makespan"],
-                    m["total_distance"],
-                )
-            )
-    return rows
 
 
 def corner_route_steps(g, start, goal):
@@ -106,7 +55,8 @@ RESERVERS_WEIGHT = 12
 
 # One expansion at subdivision 1 takes well under a millisecond: too short a
 # sample for the naive/boundary ratios to hold still under scheduler noise.
-# So each sample repeats the expansion until it spans this many seconds.
+# So each sample repeats the expansion until it spans this many seconds of
+# the thread's CPU time.
 MIN_SAMPLE_S = 0.002
 
 
@@ -121,19 +71,21 @@ def reservers_route(grid, s):
 
 
 def _sample_s(fn, steps, links):
-    """Seconds per expansion over one sample, which repeats the expansion
+    """CPU seconds per expansion over one sample, which repeats the expansion
     until it spans ``MIN_SAMPLE_S``, with the garbage collector off as
     ``timeit`` has it, so that no collection lands in one sample and not
-    its twin; returns the time and the last expansion."""
+    its twin; returns the time and the last expansion. The thread's CPU
+    clock, unlike the wall clock, does not run while other processes hold
+    the core, so a busy machine skews neither sample of a pair."""
     gc_was_on = gc.isenabled()
     gc.disable()
     try:
         calls = 0
-        t0 = time.perf_counter()
+        t0 = time.thread_time()
         while True:
             out = fn(steps, links, 1)
             calls += 1
-            elapsed = time.perf_counter() - t0
+            elapsed = time.thread_time() - t0
             if elapsed >= MIN_SAMPLE_S:
                 return elapsed / calls, out
     finally:
@@ -161,6 +113,3 @@ def bench_reservers(*, grid=40, subdivisions=(1, 2, 4, 6), reps=20):
                 csv_row("reservers", s, name, _fmt_ms(timings[name]), "", span, note)
             )
     return rows
-
-
-SUITES = {"anchorisers": bench_anchorisers, "presets": bench_presets, "reservers": bench_reservers}

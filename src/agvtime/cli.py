@@ -1,4 +1,5 @@
-"""Command line front end: generate scenarios, run pipelines, benchmark."""
+"""Command line front end: generate scenarios, run pipelines, benchmark
+footprint expansion."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bench import CSV_HEADER, SUITES, csv_row
+from .bench import CSV_HEADER, bench_reservers, csv_row
 from .graph import InvalidParameterError
 from .intervals import INF, fmt_tick, parse_tick
 from .scenarios import (
@@ -113,7 +114,7 @@ def cmd_generate(opts: dict) -> int:
     out = opts.pop("out", ".")
     sc = _generated(opts)
     path = _out_dir(out) / "scenario.json"
-    path.write_text(to_json(sc))
+    _write_together([(path, lambda f: f.write(to_json(sc)))])
     print(path)
     return EXIT_OK
 
@@ -217,17 +218,11 @@ def cmd_run(opts: dict) -> int:
 
 
 def cmd_bench(opts: dict) -> int:
-    import inspect  # here, not at the top: only this command needs it, and it is slow to import
     out = opts.pop("out", ".")
     suite = opts.pop("suite")
-    takes = inspect.signature(SUITES[suite]).parameters
-    for name in opts:
-        if name not in takes:
-            raise InvalidParameterError(f"suite {suite} takes no {_flag(name)}")
-    rows = SUITES[suite](**opts)
-    text = CSV_HEADER + "\n" + "\n".join(rows) + "\n"
+    text = CSV_HEADER + "\n" + "\n".join(bench_reservers(**opts)) + "\n"
     path = _out_dir(out) / f"bench_{suite}.csv"
-    path.write_text(text)
+    _write_together([(path, lambda f: f.write(text))])
     print(text, end="")
     print(path, file=sys.stderr)
     return EXIT_OK
@@ -251,15 +246,12 @@ def main(argv=None) -> int:
     run.add_argument("--out", help="output directory")
     run.set_defaults(command=cmd_run)
 
-    bench = sub.add_parser("bench", help="run a benchmark suite", **given)
-    bench.add_argument("--suite", choices=SUITES, required=True)
-    bench.add_argument("--grid", type=int)
-    bench.add_argument("--agvs", type=int)
-    bench.add_argument("--demands", type=int)
-    bench.add_argument("--seed", type=int)
-    bench.add_argument("--agv-counts", type=int_list, help="comma list for the anchorisers suite")
-    bench.add_argument("--sizes", type=int_list, help="comma list of grid sizes for the presets suite")
-    bench.add_argument("--subdivisions", type=int_list, help="comma list for the reservers suite")
+    bench = sub.add_parser(
+        "bench", help="time naive against boundary-sweep footprint expansion", **given
+    )
+    bench.add_argument("--suite", choices=["reservers"], required=True)
+    bench.add_argument("--grid", type=int, help="grid side length of the corner route")
+    bench.add_argument("--subdivisions", type=int_list, help="comma list of edge subdivisions")
     bench.add_argument("--out", help="output directory")
     bench.set_defaults(command=cmd_bench)
 

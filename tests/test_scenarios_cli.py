@@ -25,7 +25,7 @@ from agvtime.graph import (
     subdivide,
 )
 from agvtime.pathing import SourceSpec
-from agvtime.scheduling import Timetable
+from agvtime.scheduling import ANCHORISERS, PRESETS, Timetable, build_timetable
 from agvtime.scenarios import (
     Scenario,
     from_json,
@@ -284,6 +284,42 @@ def test_cli_preset_override_lands_in_metrics(tmp_path, capsys):
     assert row.split(",")[2] == "full-manhattan"
 
 
+@pytest.mark.parametrize("demands", [3, 0])
+@pytest.mark.parametrize("anchoriser", ANCHORISERS)
+@pytest.mark.parametrize("preset", PRESETS)
+def test_cli_run_compares_presets_and_anchorisers(tmp_path, capsys, preset, anchoriser, demands):
+    # Presets and anchorisers are compared with one run per pair: its
+    # metrics.csv row names both, with the makespan and distance the planner
+    # reaches on the generated scenario.
+    knobs = {"grid": 6, "agvs": 3, "demands": demands, "seed": 3}
+    argv = [f"--{name}={value}" for name, value in knobs.items()]
+    code = main(["run", *argv, "--preset", preset, "--anchoriser", anchoriser, "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    row = drop_runtime((tmp_path / "metrics.csv").read_text())[-1]
+    assert row[0] == "run" and row[2] == preset and row[5] == anchoriser
+
+    sc = generate(**knobs, preset=preset, anchoriser=anchoriser)
+    g, links, placements, ds = materialise(sc)
+    tt = build_timetable(
+        g, links, placements, ds, preset=preset, anchoriser=anchoriser,
+        stop_pickup=sc.stop_pickup, stop_dropoff=sc.stop_dropoff, seed=sc.seed,
+    )
+    assert row[3:5] == [str(tt.makespan()), str(tt.total_distance())]
+    if demands:
+        assert tt.makespan() > 0
+        return
+    # With no demands the run is the anchorisation alone: makespan and
+    # distance recomputed from the anchoriser's own paths.
+    park, kwargs = {"naive": (naive_anchorise, {"seed": sc.seed}), "greedy": (greedy_anchorise, {})}[anchoriser]
+    res = park(TimeGraph(g), links, placements, **kwargs)
+    assert res.ok
+    makespan = max(p.arrival for p in res.paths.values())
+    distance = sum(
+        s.end - s.start for p in res.paths.values() for s in p.steps if not g.is_node(s.resource)
+    )
+    assert row[3:5] == [str(makespan), str(distance)]
+
+
 def test_cli_run_overrides_every_field_of_a_file(tmp_path, capsys):
     args = ["generate", "--grid", "6", "--agvs", "2", "--demands", "3", "--seed", "2"]
     assert main([*args, "--out", str(tmp_path)]) == EXIT_OK
@@ -399,6 +435,37 @@ def test_cli_failed_metrics_write_keeps_the_older_pair(tmp_path, capsys, monkeyp
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("command", [
+    ["generate", "--grid", "6", "--agvs", "2", "--demands", "3", "--seed"],
+    ["bench", "--suite", "reservers", "--grid", "4", "--subdivisions"],
+])
+def test_cli_failed_write_keeps_the_earlier_file(tmp_path, capsys, monkeypatch, command):
+    # generate and bench, too, write under a temporary name and move only a
+    # whole file into place: a write that fails partway exits 2 with one
+    # JSON line and leaves the earlier file as it was, with no temporary
+    # file beside it.
+    assert main([*command, "1", "--out", str(tmp_path)]) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert len(before) == 1
+    capsys.readouterr()
+
+    def failing_open(path, *args, **kwargs):
+        f = open(path, *args, **kwargs)
+
+        def write(_text):
+            raise OSError(28, "No space left on device")
+
+        f.write = write
+        return f
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    assert main([*command, "2", "--out", str(tmp_path)]) == EXIT_INVALID
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "invalid", "detail": "[Errno 28] No space left on device"}
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_cli_generate_refuses_demands_without_a_fleet(tmp_path, capsys):
     # The drawn demands pass the same plan gate a scenario file does.
     with pytest.raises(InvalidParameterError, match="fleet is empty"):
@@ -454,8 +521,8 @@ def test_cli_invalid_parameters_exit_code(tmp_path, capsys):
     lines = err.strip().splitlines()
     assert len(lines) == 1, lines
     assert json.loads(lines[0])["error"] == "invalid"
-    # an unusable --out, shape flags on a scenario file, a bad list, and
-    # flags the chosen bench suite does not take
+    # an unusable --out, shape flags on a scenario file, a bad list, a flag
+    # bench does not take, and a retired bench suite
     scenario = tmp_path / "scenario.json"
     scenario.write_text(to_json(generate(grid=6, agvs=2, demands=3, seed=2)))
     taken = tmp_path / "taken"
@@ -465,22 +532,21 @@ def test_cli_invalid_parameters_exit_code(tmp_path, capsys):
         ["generate", "--grid", "6", "--agvs", "2", "--demands", "0", "--out", str(taken)],
         ["run", "--scenario", str(scenario), "--grid", "50", "--out", str(tmp_path / "shape")],
         ["run", "--scenario", str(scenario), "--weight", "3", "--out", str(tmp_path / "shape")],
-        ["bench", "--suite", "anchorisers", "--agv-counts", "2,x", "--out", str(tmp_path / "bench")],
+        ["bench", "--suite", "reservers", "--subdivisions", "2,x", "--out", str(tmp_path / "bench")],
         ["bench", "--suite", "reservers", "--seed", "5", "--out", str(tmp_path / "bench")],
+        ["bench", "--suite", "presets", "--out", str(tmp_path / "bench")],
+        ["bench", "--suite", "anchorisers", "--out", str(tmp_path / "bench")],
         # negative counts and stop ticks, wherever a scenario is generated
         ["generate", "--grid", "6", "--agvs", "2", "--demands", "1", "--stop-pickup", "-5", "--out", str(tmp_path / "gen")],
         ["generate", "--grid", "6", "--agvs", "2", "--demands", "1", "--stop-dropoff", "-1", "--out", str(tmp_path / "gen")],
         ["generate", "--grid", "6", "--agvs", "2", "--demands", "-3", "--out", str(tmp_path / "gen")],
         ["generate", "--grid", "6", "--agvs", "-1", "--demands", "0", "--out", str(tmp_path / "gen")],
         ["run", "--grid", "6", "--agvs", "2", "--demands", "-1", "--out", str(tmp_path / "neg")],
-        ["bench", "--suite", "anchorisers", "--agv-counts", "-1", "--out", str(tmp_path / "bench")],
-        ["bench", "--suite", "presets", "--sizes", "6", "--agvs", "-1", "--out", str(tmp_path / "bench")],
-        # empty lists
-        ["bench", "--suite", "anchorisers", "--agv-counts", "", "--out", str(tmp_path / "bench")],
-        ["bench", "--suite", "presets", "--sizes", "", "--out", str(tmp_path / "bench")],
+        ["bench", "--suite", "reservers", "--grid", "4", "--subdivisions", "-1", "--out", str(tmp_path / "bench")],
+        # an empty list
         ["bench", "--suite", "reservers", "--grid", "4", "--subdivisions", "", "--out", str(tmp_path / "bench")],
         # an empty item inside a list
-        ["bench", "--suite", "anchorisers", "--grid", "6", "--agv-counts", "2,,3", "--out", str(tmp_path / "bench")],
+        ["bench", "--suite", "reservers", "--grid", "4", "--subdivisions", "2,,3", "--out", str(tmp_path / "bench")],
     ):
         try:
             code = main(argv)
@@ -490,7 +556,7 @@ def test_cli_invalid_parameters_exit_code(tmp_path, capsys):
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1, lines
         assert json.loads(lines[0])["error"] == "invalid"
-    assert not list(tmp_path.glob("bench/*.csv"))
+    assert not list(tmp_path.glob("bench/*"))
     # the detail names what is wrong: the subdivision count, not the link
     # radius it caps, and a broken graph rule in words
     doc = json.loads(to_json(generate(grid=6, agvs=2, demands=0)))
@@ -688,7 +754,7 @@ def test_cli_runs_explicit_graph(tmp_path):
     assert files["explicit"] == files["grid"]
 
 
-def test_import_loads_only_the_standard_library():
+def test_import_loads_only_the_standard_library(tmp_path):
     # Modules loaded before the import (by site, or the probe itself) do not
     # count. Records are NamedTuples or plain classes, so importing generates
     # no code and needs neither dataclasses nor inspect, nor what they bring
@@ -704,6 +770,20 @@ def test_import_loads_only_the_standard_library():
         tops = {name.partition(".")[0] for name in loaded}
         assert tops - sys.stdlib_module_names == {"agvtime"}, module
         assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}, module
+    # Nor does any command load them when it runs: a whole bench, whose
+    # flags argparse alone checks.
+    argv = ["bench", "--suite", "reservers", "--grid", "4", "--subdivisions", "1", "--out", str(tmp_path)]
+    probe = (
+        "import json, sys; before = set(sys.modules); from agvtime.cli import main; "
+        f"code = main({argv!r}); "
+        "print(json.dumps([code, sorted(set(sys.modules) - before)]))"
+    )
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=SRC_ENV)
+    assert res.returncode == 0, res.stderr
+    code, loaded = json.loads(res.stdout.splitlines()[-1])
+    assert code == EXIT_OK
+    assert (tmp_path / "bench_reservers.csv").exists()
+    assert not set(loaded) & {"dataclasses", "inspect"}
 
 
 def test_cli_stalled_anchorisation_exit_code(tmp_path, capsys):
@@ -771,51 +851,6 @@ def test_cli_bench_reservers_smallest(tmp_path, capsys):
     body = [l.split(",") for l in lines[1:]]
     assert [b[2] for b in body] == ["naive", "boundary"]
     assert all(b[-1] == "equal" for b in body)
-
-
-def test_cli_bench_anchorisers_smallest(tmp_path, capsys):
-    code = main(
-        ["bench", "--suite", "anchorisers", "--grid", "6", "--agv-counts", "2,3",
-         "--seed", "3", "--out", str(tmp_path)]
-    )
-    assert code == EXIT_OK
-    lines = (tmp_path / "bench_anchorisers.csv").read_text().strip().splitlines()
-    body = [l.split(",") for l in lines[1:]]
-    assert [b[1:3] for b in body] == [
-        ["2", "naive"], ["2", "greedy"], ["3", "naive"], ["3", "greedy"]
-    ]
-    # makespan and distance recomputed from the anchorisation itself
-    for i, count in enumerate((2, 3)):
-        sc = generate(grid=6, agvs=count, demands=0, seed=3 + i)
-        for row, (run, kwargs) in zip(
-            body[2 * i : 2 * i + 2],
-            ((naive_anchorise, {"seed": sc.seed}), (greedy_anchorise, {})),
-        ):
-            g, links, placements, _ = materialise(sc)
-            res = run(TimeGraph(g), links, placements, **kwargs)
-            assert res.ok
-            makespan = max(p.arrival for p in res.paths.values())
-            distance = sum(
-                s.end - s.start
-                for p in res.paths.values()
-                for s in p.steps
-                if not g.is_node(s.resource)
-            )
-            assert row[4:] == [str(makespan), str(distance), ""]
-
-
-def test_cli_bench_presets_smallest(tmp_path, capsys):
-    code = main(
-        ["bench", "--suite", "presets", "--sizes", "6", "--agvs", "2", "--demands", "3",
-         "--out", str(tmp_path)]
-    )
-    assert code == EXIT_OK
-    lines = (tmp_path / "bench_presets.csv").read_text().strip().splitlines()
-    body = [l.split(",") for l in lines[1:]]
-    assert [b[2] for b in body] == [
-        "full-zero", "full-manhattan", "partial-dijkstras", "partial-manhattan"
-    ]
-    assert all(b[0] == "presets" and b[1] == "6" and int(b[4]) > 0 for b in body)
 
 
 def _perfbench_module(stem):

@@ -48,6 +48,19 @@ def _report(kind: str, detail: str) -> None:
     print(json.dumps({"error": kind, "detail": detail}), file=sys.stderr)
 
 
+def _drop_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so the flush at
+    exit writes what is still buffered there instead of failing again. A
+    stdout with no descriptor is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors take the path of every other bad input: one JSON line, exit 2."""
 
@@ -256,8 +269,14 @@ def main(argv=None) -> int:
     bench.set_defaults(command=cmd_bench)
 
     opts = vars(top.parse_args(argv))
+    code = EXIT_OK
     try:
-        return opts.pop("command")(opts)
+        code = opts.pop("command")(opts)
+        sys.stdout.flush()  # so a closed stdout fails here, not at exit
+    except BrokenPipeError:
+        # The reader closed stdout, as ``| head`` does. Every command prints
+        # only once its files are in place, so its work stands.
+        _drop_stdout()
     except StalledAnchorisation as err:
         _report("stalled", str(err))
         return EXIT_FAULT
@@ -267,6 +286,7 @@ def main(argv=None) -> int:
     except (InvalidParameterError, OSError) as err:
         _report("invalid", str(err))
         return EXIT_INVALID
+    return code
 
 
 if __name__ == "__main__":

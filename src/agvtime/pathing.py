@@ -271,6 +271,13 @@ class NearestTarget:
     distance on the first stage, 0 from the second on. Consistent after
     every ``close``: 0 on every open target, ``h(u) <= w + h(v)`` on every
     move.
+
+    ``root[v]`` is v's root, None at INF. Before any ``close`` it is the
+    target nearest v, ties going to the lower id, on routes that pass no
+    other target: every target is seeded at 0, so none is ever reached
+    through another, and a node pops its least ``(ticks, node, root)``
+    entry after every successor that offers that distance has pushed its
+    own root.
     """
 
     def __init__(self, g: ResourceGraph, targets):
@@ -281,7 +288,7 @@ class NearestTarget:
                 self._into[v].append((u, w))
         self.open = set(targets)
         dist = self._dist = [INF] * g.num_nodes
-        self._root = [None] * g.num_nodes
+        self.root = [None] * g.num_nodes
         self._members = {t: [] for t in self.open}
         self._settle([(0, t, t) for t in sorted(self.open)])
         self.bound: GuideFn = lambda node, stage: dist[node] if stage == 0 else 0
@@ -289,7 +296,7 @@ class NearestTarget:
     def _settle(self, heap):
         """Dijkstra from ``heap``'s (ticks, node, root) seeds; a node keeps
         its first, least, pop and joins its root's members."""
-        dist, root, into, members = self._dist, self._root, self._into, self._members
+        dist, root, into, members = self._dist, self.root, self._into, self._members
         heapq.heapify(heap)
         while heap:
             d, v, r = heapq.heappop(heap)
@@ -307,7 +314,7 @@ class NearestTarget:
         if not shut:
             return
         self.open -= shut
-        dist, root = self._dist, self._root
+        dist, root = self._dist, self.root
         reset = [v for t in shut for v in self._members.pop(t)]
         for v in reset:
             dist[v], root[v] = INF, None

@@ -102,14 +102,15 @@ def _graph_and_fleet(sc: Scenario):
     g = subdivide(_graph_from_spec(sc.graph), _int(sc.subdivisions, "subdivisions", 1))
     _int(sc.link_radius, "link radius", 1)
     placements = {}
+    taken = set()
     for p in sc.placements:
         agv, rid, elapsed = _ints(p, "placement", "agv", "resource", elapsed=0)
         if agv in placements:
             raise InvalidParameterError(f"duplicate placement for AGV {agv}")
-        spec = SourceSpec(rid, elapsed, p.get("toward"))
-        if any(spec.resource == q.resource for q in placements.values()):
+        if rid in taken:
             raise InvalidParameterError("two AGVs share a resource")
-        placements[agv] = spec
+        taken.add(rid)
+        placements[agv] = SourceSpec(rid, elapsed, p.get("toward"))
     demands = tuple(Demand(*_ints(d, "demand", "id", "pickup", "dropoff", horizon=0)) for d in sc.demands)
     return g, placements, demands
 

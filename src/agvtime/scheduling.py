@@ -18,20 +18,27 @@ makespan at seed 1 from 17,656 to 13,524 ticks on ``long-horizon`` and from
 on one traced scenario from 51,624 to 38,162 and from 44,352 to 33,279.
 
 Each demand's route ends on the *ready* anchor nearest its dropoff in
-travel ticks, ties going to the lower id: one Dijkstra over ``g.moves`` from
-the dropoff, popping ``(ticks, node)`` and never leaving an anchor, reads the
-AGV's gaps from the plan's start tick on each anchor it settles and stops at
-the first whose one gap runs from that tick to ``INF``, so no search has to
-wait out another AGV's hold that ends far in the future. When none is ready,
-it is the nearest *open* anchor, whose last gap reaches ``INF``: no other AGV
-holds it to ``INF``. Every ready anchor is open, so the routing guarantee,
-which only needs an open final anchor, holds either way; with no anchor open
-the demand faults. Against one ``rng.choice`` among the ready anchors, this
+travel ticks, ties going to the lower id, on routes that pass no other
+anchor: the first anchor whose AGV's gaps from the plan's start tick are
+the one gap from that tick to ``INF``, so no search has to wait out another
+AGV's hold that ends far in the future. When none is ready, it is the
+nearest *open* anchor, whose last gap reaches ``INF``: no other AGV holds it
+to ``INF``. Every ready anchor is open, so the routing guarantee, which only
+needs an open final anchor, holds either way; with no anchor open the
+demand faults. Against one ``rng.choice`` among the ready anchors, this
 cut the benchmark's mean makespan at seed 1 from 13,524 to 9,612 ticks on
 ``long-horizon`` and from 8,536 to 5,923 on ``dense-footprint``, its total
 distance from 105,322 to 74,434 and from 59,540 to 42,036 ticks, and the
 labels its searches pushed on one traced scenario from 38,162 to 25,564 and
 from 33,279 to 19,433.
+
+A node's nearest anchor depends on the graph alone: it names the graph
+Voronoi region the node lies in (Erwig, "The graph Voronoi diagram with
+applications", Networks 36(3), 2000). ``nearest_anchor`` keeps one table of
+them per graph, from one multi-source Dijkstra on the run's first demand.
+Most demands' nearest anchor is ready, and ``choose_anchor`` then reads one
+gap list and runs no search of its own; only otherwise does it run a
+Dijkstra from the dropoff.
 """
 
 from __future__ import annotations
@@ -42,12 +49,14 @@ from heapq import heappop, heappush
 from itertools import groupby
 from operator import attrgetter
 from typing import NamedTuple
+from weakref import WeakKeyDictionary
 
 from .anchoring import blockers, greedy_anchorise, hold, naive_anchorise
 from .footprint import boundary_reservations
 from .graph import GeoLinks, InvalidParameterError, ResourceGraph
 from .intervals import INF, AgvId
 from .pathing import (
+    NearestTarget,
     SourceSpec,
     Stage,
     Step,
@@ -157,15 +166,18 @@ def check_plan(
 
 class Timetable:
     """Each AGV's committed paths, their reservations in ``tg`` and the planning
-    time; ``steps`` is each AGV's timeline, anchor holds cut where the next path starts."""
+    time; ``steps`` is each AGV's timeline, anchor holds cut where the next path
+    starts. The metrics are taken once, as the timelines are built."""
 
-    __slots__ = ("paths", "tg", "runtime_ms", "steps")
+    __slots__ = ("paths", "tg", "runtime_ms", "steps", "_makespan", "_distance")
 
     def __init__(self, paths: dict[AgvId, list[TimePath]], tg: TimeGraph, runtime_ms: float = 0.0):
         self.paths = paths
         self.tg = tg
         self.runtime_ms = runtime_ms
         self.steps: dict[AgvId, list[Step]] = {}
+        num_nodes = tg.graph.num_nodes
+        distance = 0
         for agv, plist in paths.items():
             steps: list[Step] = []
             for p in plist:
@@ -174,6 +186,9 @@ class Timetable:
                     steps[-1] = Step(steps[-1].resource, start, start if cut == start else cut)
                 steps.extend(p.steps)
             self.steps[agv] = steps
+            distance += sum(e - s for r, s, e in steps if r >= num_nodes)
+        self._makespan = max((plist[-1].arrival for plist in paths.values() if plist), default=0)
+        self._distance = distance
 
     def occupations(self):
         """Yield every AGV's ``(agv, resource, start, end)`` claims, AGVs in
@@ -185,13 +200,12 @@ class Timetable:
                 yield agv, r, s, e
 
     def makespan(self):
-        arrivals = [plist[-1].arrival for plist in self.paths.values() if plist]
-        return max(arrivals, default=0)
+        """The latest arrival of any AGV's last path."""
+        return self._makespan
 
     def total_distance(self) -> int:
         """Ticks spent on edges over every AGV's timeline."""
-        num_nodes = self.tg.graph.num_nodes
-        return sum(e - s for steps in self.steps.values() for r, s, e in steps if r >= num_nodes)
+        return self._distance
 
     def is_anchored(self) -> bool:
         g = self.tg.graph
@@ -288,6 +302,23 @@ def _plan(tg, g, agv, src_node, stages, preset, earliest):
     )
 
 
+# ResourceGraph -> nearest_anchor's table. Shared by every caller: the table
+# depends on the graph alone, and nothing changes a graph once it is built.
+_NEAREST_ANCHOR = WeakKeyDictionary()
+
+
+def nearest_anchor(g: ResourceGraph) -> list:
+    """Each node's nearest anchor in travel ticks, ties going to the lower
+    id, on routes that pass no other anchor; None where no anchor is reached.
+
+    The roots of a never-closed ``NearestTarget`` over every anchor, built on
+    first use and kept while ``g`` lives; the rest of that search is dropped."""
+    table = _NEAREST_ANCHOR.get(g)
+    if table is None:
+        table = _NEAREST_ANCHOR[g] = NearestTarget(g, g.anchors).root
+    return table
+
+
 def choose_anchor(tg, agv, dropoff, start):
     """The final anchor for ``agv`` of a route through ``dropoff`` that
     starts at tick ``start``: the nearest anchor in travel ticks that is
@@ -295,12 +326,22 @@ def choose_anchor(tg, agv, dropoff, start):
     gaps on an anchor from ``start``, it is open when ``gaps[-1]`` ends at
     ``INF`` and ready when ``gaps`` is the one gap ``(start, INF)``.
 
-    Nodes pop in ``(ticks, node)`` order, so ties go to the lower id. An
+    The nearest anchor, off ``nearest_anchor``'s table, is read first and
+    returned when it is ready. Only otherwise does a Dijkstra over
+    ``g.moves`` run from the dropoff. Nodes pop in ``(ticks, node)`` order,
+    so ties go to the lower id and the table's anchor is settled first. An
     anchor is settled but never left, as ``route_corridor``'s legs steer
-    around other anchors, and its gaps are read once, when it is settled."""
+    around other anchors, and its gaps are read once: the table's anchor's
+    list is the one already read."""
     g = tg.graph
-    anchors, moves = g.anchors, g.moves
+    nearest = nearest_anchor(g)[dropoff]
+    if nearest is None:
+        return None
     free = ((start, INF),)
+    first = tg.gaps_from(nearest, agv, start)
+    if first == free:
+        return nearest
+    anchors, moves = g.anchors, g.moves
     dist = [INF] * g.num_nodes
     dist[dropoff] = 0
     heap = [(0, dropoff)]
@@ -310,7 +351,7 @@ def choose_anchor(tg, agv, dropoff, start):
         if d > dist[v]:
             continue
         if v in anchors:
-            gaps = tg.gaps_from(v, agv, start)
+            gaps = first if v == nearest else tg.gaps_from(v, agv, start)
             if gaps == free:
                 return v
             if nearest_open is None and gaps and gaps[-1][1] == INF:

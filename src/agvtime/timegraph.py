@@ -75,8 +75,9 @@ class TimeGraph:
         the first clipped to start at ``since``. The planner's gap read: the
         path search calls this once per (resource, agv) pair with its
         earliest tick and keeps the result for the rest of the search, and
-        ``scheduling.choose_anchor`` reads each anchor it settles from a
-        plan's start."""
+        ``scheduling.choose_anchor`` reads, from a plan's start, the
+        dropoff's nearest anchor and, only when that one is not ready, each
+        further anchor its Dijkstra settles, every anchor once."""
         return self.trees[resource].gaps_from(agv, since)
 
     def gaps_full(self, resource: int, agv: AgvId):

@@ -248,7 +248,7 @@ def assert_members_partition(nearest, g):
     listed = [v for members in nearest._members.values() for v in members]
     assert sorted(listed) == [v for v in range(g.num_nodes) if nearest.bound(v, 0) < INF]
     for t, members in nearest._members.items():
-        assert all(nearest._root[v] == t for v in members), t
+        assert all(nearest.root[v] == t for v in members), t
 
 
 def test_nearest_target_close_stays_exact_and_consistent():

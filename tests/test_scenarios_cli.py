@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import re
@@ -435,6 +436,46 @@ def test_cli_failed_metrics_write_keeps_the_older_pair(tmp_path, capsys, monkeyp
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, as after ``| head -c 0``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_cli_closed_stdout_after_the_files_exits_ok(tmp_path, capsys, monkeypatch):
+    # Every command prints only once its files are in place, so a stdout
+    # the reader closed is no fault of the run: exit 0, with no error line.
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    args = ["run", "--grid", "6", "--agvs", "2", "--demands", "3", "--seed", "2", "--out", str(tmp_path)]
+    assert main(args) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv", "timetable.json"]
+    assert json.loads((tmp_path / "timetable.json").read_text())["agvs"]
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_cli_closed_stdout_pipe_exits_ok(tmp_path, unbuffered):
+    # The same through a real pipe whose read end is closed, buffered and
+    # not: the write or the final flush fails, and neither may print a
+    # traceback or an error line at exit, nor exit 120.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "agvtime", "run", "--grid", "6", "--agvs", "2", "--demands", "3",
+             "--seed", "2", "--out", str(tmp_path)],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**SRC_ENV, "PYTHONUNBUFFERED": unbuffered},
+        )
+    finally:
+        os.close(write)
+    assert (res.returncode, res.stderr) == (EXIT_OK, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv", "timetable.json"]
+
+
 @pytest.mark.parametrize("command", [
     ["generate", "--grid", "6", "--agvs", "2", "--demands", "3", "--seed"],
     ["bench", "--suite", "reservers", "--grid", "4", "--subdivisions"],
@@ -645,6 +686,7 @@ MALFORMED = {
     ),
     "empty-fleet-with-demands": lambda doc: doc.update(placements=[]),
     "toward-on-a-node-placement": lambda doc: doc["placements"][0].update(toward="x"),
+    "placements-share-a-resource": lambda doc: doc["placements"][1].update(resource=doc["placements"][0]["resource"]),
 }
 
 

@@ -30,6 +30,7 @@ from agvtime.scheduling import (
     build_timetable,
     choose_anchor,
     metrics,
+    nearest_anchor,
 )
 from agvtime.timegraph import TimeGraph
 from agvtime.scenarios import generate, materialise
@@ -552,6 +553,8 @@ def test_final_anchor_matches_the_nearest_ready_reference(monkeypatch):
     # explicit graphs without coords; the chooser must pick what the rule
     # says, from travel ticks the engine does not compute and from the holds
     # themselves, and read only the anchors nearer than its pick, each once.
+    # The nearest-anchor table must name each plain node's nearest anchor;
+    # a call whose nearest anchor is ready reads that one gap list ("ready").
     rng = random.Random(7)
     graphs = [build_grid(n, w) for n in (4, 5, 6, 7) for w in (1, 10)]
     graphs.append(subdivide(build_grid(5, 12), 2))
@@ -563,6 +566,11 @@ def test_final_anchor_matches_the_nearest_ready_reference(monkeypatch):
     for g in graphs:
         anchors = anchors_sorted(g)
         plain = [v for v in range(g.num_nodes) if v not in g.anchors]
+        table = nearest_anchor(g)
+        assert nearest_anchor(g) is table
+        for v in plain:
+            order = by_nearness(g, v)
+            assert table[v] == (order[0] if order else None), (g.num_nodes, v)
         for _ in range(25):
             # Some trials hold nearly every anchor, most of them to INF.
             p_held, p_inf = rng.choice((0.3, 0.9, 1.0)), rng.choice((0.3, 0.9, 1.0))

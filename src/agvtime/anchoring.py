@@ -90,11 +90,12 @@ def blockers(tg: TimeGraph, placements: dict[AgvId, SourceSpec], stalled) -> dic
     holder: ``{agv: (name, holder)}``, the resource named as in
     ``timetable.json``.
 
-    A breadth-first walk over resource adjacency from the AGV's start passes
-    every resource nobody else holds to the end of time and stops at those
-    someone does; the first one it meets is named, with its least other
-    holder. After a stall only open ended holds are left for good, so the
-    resources it passes are the ones the AGV could reach by waiting.
+    A breadth-first walk over resource adjacency, ``g.adjacent``, from the
+    AGV's start passes every resource nobody else holds to the end of time
+    and stops at those someone does; the first one it meets is named, with
+    its least other holder. After a stall only open ended holds are left for
+    good, so the resources it passes are the ones the AGV could reach by
+    waiting.
     """
     g = tg.graph
     out = {}
@@ -106,8 +107,7 @@ def blockers(tg: TimeGraph, placements: dict[AgvId, SourceSpec], stalled) -> dic
             if holder is not None:
                 out[agv] = (g.describe(r), holder)
                 break
-            near = g.incident[r] if g.is_node(r) else (g.edge_at(r).a, g.edge_at(r).b)
-            fresh = [q for q in sorted(near) if q not in seen]
+            fresh = [q for q in sorted(g.adjacent[r]) if q not in seen]
             seen.update(fresh)
             queue.extend(fresh)
     return out

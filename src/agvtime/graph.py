@@ -40,7 +40,14 @@ class Violation(NamedTuple):
 
 
 class ResourceGraph:
-    """Immutable node/edge structure with the shared resource id space."""
+    """Immutable node/edge structure with the shared resource id space.
+
+    Built once here, the tables every walk over the graph reads:
+    ``moves[v]``, the ``(edge rid, node, ticks)`` moves out of node v;
+    ``into[v]``, the moves into v in the same shape, each naming the node it
+    leaves; ``adjacent[r]``, a node's incident edges or an edge's ``(a, b)``
+    endpoints.
+    """
 
     def __init__(
         self,
@@ -62,8 +69,9 @@ class ResourceGraph:
         for n in self.anchors:
             if not 0 <= n < num_nodes:
                 raise InvalidParameterError(f"anchor {n} is not a node")
-        incident = [[] for _ in range(num_nodes)]
+        adjacent = [[] for _ in range(num_nodes)]
         moves = [[] for _ in range(num_nodes)]
+        into = [[] for _ in range(num_nodes)]
         for i, e in enumerate(self.edges):
             rid = num_nodes + i
             if e.weight < 1:
@@ -75,13 +83,19 @@ class ResourceGraph:
                 bound = manhattan_bound(self, e.a, e.b)
                 if bound > e.weight:
                     raise InvalidParameterError(f"edge e{i} weight {e.weight} is below its Manhattan bound {bound}")
-            incident[e.a].append(rid)
-            incident[e.b].append(rid)
-            moves[e.a].append((rid, e.b, e.weight))
+            adjacent[e.a].append(rid)
+            adjacent[e.b].append(rid)
+            adjacent.append((e.a, e.b))
+            # ``into`` names the node a move leaves, so it shares ``moves``' tuples.
+            ahead, back = (rid, e.b, e.weight), (rid, e.a, e.weight)
+            moves[e.a].append(ahead)
+            into[e.b].append(back)
             if not e.directed:
-                moves[e.b].append((rid, e.a, e.weight))
-        self.incident = tuple(tuple(x) for x in incident)
+                moves[e.b].append(back)
+                into[e.a].append(ahead)
+        self.adjacent = tuple(tuple(x) for x in adjacent)
         self.moves = tuple(tuple(x) for x in moves)
+        self.into = tuple(tuple(x) for x in into)
 
     @property
     def num_resources(self) -> int:
@@ -152,29 +166,23 @@ def build_grid(n: int, weight: int) -> ResourceGraph:
     return ResourceGraph(len(coords), edges, anchors, coords, unit_weight=weight)
 
 
-def _strongly_connected(num_nodes, moves, keep) -> bool:
-    nodes = [v for v in range(num_nodes) if keep(v)]
-    if len(nodes) <= 1:
-        return True
-    fwd = {v: [] for v in nodes}
-    rev = {v: [] for v in nodes}
-    for v in nodes:
-        for _, u, _ in moves[v]:
-            if keep(u):
-                fwd[v].append(u)
-                rev[u].append(v)
+def _strongly_connected(g: ResourceGraph, keep) -> bool:
+    """Whether the nodes ``keep`` admits reach each other along moves
+    between kept nodes: one walk over ``g.moves`` and one over ``g.into``
+    from the same node each reach all of them."""
+    nodes = [v for v in range(g.num_nodes) if keep(v)]
 
     def reaches_all(adj):
-        seen = {nodes[0]}
-        stack = [nodes[0]]
+        stack = nodes[:1]
+        seen = set(stack)
         while stack:
-            for u in adj[stack.pop()]:
-                if u not in seen:
+            for _, u, _ in adj[stack.pop()]:
+                if u not in seen and keep(u):
                     seen.add(u)
                     stack.append(u)
         return len(seen) == len(nodes)
 
-    return reaches_all(fwd) and reaches_all(rev)
+    return reaches_all(g.moves) and reaches_all(g.into)
 
 
 def validate(g: ResourceGraph, num_agvs: int) -> Violation | None:
@@ -183,12 +191,12 @@ def validate(g: ResourceGraph, num_agvs: int) -> Violation | None:
     1: graph strongly connected. 2: at least as many anchors as AGVs.
     3: graph minus anchors strongly connected. 4: no anchor-anchor edge.
     """
-    if not _strongly_connected(g.num_nodes, g.moves, lambda v: True):
+    if not _strongly_connected(g, lambda v: True):
         return Violation(1, "graph is not strongly connected")
     if len(g.anchors) < num_agvs:
         return Violation(2, f"{num_agvs} AGVs but only {len(g.anchors)} anchors")
     anchors = g.anchors
-    if not _strongly_connected(g.num_nodes, g.moves, lambda v: v not in anchors):
+    if not _strongly_connected(g, lambda v: v not in anchors):
         return Violation(3, "graph minus anchors is not strongly connected")
     for i, e in enumerate(g.edges):
         if e.a in anchors and e.b in anchors:
@@ -251,12 +259,7 @@ def build_adjacency_links(g: ResourceGraph, s: int) -> GeoLinks:
     """Breadth-first resource-adjacency balls of radius s around each resource."""
     if s < 1:
         raise InvalidParameterError(f"link radius must be >= 1, got {s}")
-    nn = g.num_nodes
-    adj = [None] * g.num_resources
-    for v in range(nn):
-        adj[v] = g.incident[v]
-    for i, e in enumerate(g.edges):
-        adj[nn + i] = (e.a, e.b)
+    adj = g.adjacent
     linked = []
     for r in range(g.num_resources):
         ball = {r}

@@ -257,15 +257,16 @@ class NearestTarget:
     """Travel ticks from each node to the nearest *open* target, kept exact
     as targets close.
 
-    One reverse multi-source Dijkstra over ``g.moves``; a node that reaches
-    no open target gets INF. Each node records the target its shortest path
-    ends on, its root, and each open target lists the nodes rooted at it, its
-    members: the lists partition the nodes of finite distance. ``close``
-    resets only the members of the closed targets, drops their lists, seeds
-    the reset nodes from their other successors and reruns Dijkstra over
-    them: closing only raises distances, so a node rooted at an open target
-    keeps its exact distance, and its whole path, which shares that root.
-    So a close costs the nodes it resets, not a scan of every node.
+    One multi-source Dijkstra over ``g.into``, the moves reversed; a node
+    that reaches no open target gets INF. Each node records the target its
+    shortest path ends on, its root, and each open target lists the nodes
+    rooted at it, its members: the lists partition the nodes of finite
+    distance. ``close`` resets only the members of the closed targets, drops
+    their lists, seeds the reset nodes from their other successors and
+    reruns Dijkstra over them: closing only raises distances, so a node
+    rooted at an open target keeps its exact distance, and its whole path,
+    which shares that root. So a close costs the nodes it resets, not a scan
+    of every node.
 
     ``open`` holds the targets still open. ``bound`` is the guide: the
     distance on the first stage, 0 from the second on. Consistent after
@@ -281,11 +282,7 @@ class NearestTarget:
     """
 
     def __init__(self, g: ResourceGraph, targets):
-        self._moves = g.moves
-        self._into = [[] for _ in range(g.num_nodes)]
-        for u, out in enumerate(g.moves):
-            for _, v, w in out:
-                self._into[v].append((u, w))
+        self._moves, self._into = g.moves, g.into
         self.open = set(targets)
         dist = self._dist = [INF] * g.num_nodes
         self.root = [None] * g.num_nodes
@@ -304,7 +301,7 @@ class NearestTarget:
                 continue
             dist[v], root[v] = d, r
             members[r].append(v)
-            for u, w in into[v]:
+            for _, u, w in into[v]:
                 if d + w < dist[u]:
                     heapq.heappush(heap, (d + w, u, r))
 

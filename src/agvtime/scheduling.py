@@ -34,10 +34,11 @@ from 33,279 to 19,433.
 
 A node's nearest anchor depends on the graph alone: it names the graph
 Voronoi region the node lies in (Erwig, "The graph Voronoi diagram with
-applications", Networks 36(3), 2000). ``nearest_anchor`` keeps one table of
-them per graph, from one multi-source Dijkstra on the run's first demand.
-Most demands' nearest anchor is ready, and ``choose_anchor`` then reads one
-gap list and runs no search of its own; only otherwise does it run a
+applications", Networks 36(3), 2000). A run with demands builds one table
+of them, from one multi-source Dijkstra over ``g.into`` before its first
+demand, and passes it to every ``choose_anchor`` call; nothing outlives the
+run. Most demands' nearest anchor is ready, and ``choose_anchor`` then reads
+one gap list and runs no search of its own; only otherwise does it run a
 Dijkstra from the dropoff.
 """
 
@@ -49,7 +50,6 @@ from heapq import heappop, heappush
 from itertools import groupby
 from operator import attrgetter
 from typing import NamedTuple
-from weakref import WeakKeyDictionary
 
 from .anchoring import blockers, greedy_anchorise, hold, naive_anchorise
 from .footprint import boundary_reservations
@@ -302,31 +302,17 @@ def _plan(tg, g, agv, src_node, stages, preset, earliest):
     )
 
 
-# ResourceGraph -> nearest_anchor's table. Shared by every caller: the table
-# depends on the graph alone, and nothing changes a graph once it is built.
-_NEAREST_ANCHOR = WeakKeyDictionary()
-
-
-def nearest_anchor(g: ResourceGraph) -> list:
-    """Each node's nearest anchor in travel ticks, ties going to the lower
-    id, on routes that pass no other anchor; None where no anchor is reached.
-
-    The roots of a never-closed ``NearestTarget`` over every anchor, built on
-    first use and kept while ``g`` lives; the rest of that search is dropped."""
-    table = _NEAREST_ANCHOR.get(g)
-    if table is None:
-        table = _NEAREST_ANCHOR[g] = NearestTarget(g, g.anchors).root
-    return table
-
-
-def choose_anchor(tg, agv, dropoff, start):
+def choose_anchor(tg, agv, dropoff, start, nearest):
     """The final anchor for ``agv`` of a route through ``dropoff`` that
     starts at tick ``start``: the nearest anchor in travel ticks that is
     ready, else the nearest that is open, else None. With ``gaps`` the AGV's
     gaps on an anchor from ``start``, it is open when ``gaps[-1]`` ends at
     ``INF`` and ready when ``gaps`` is the one gap ``(start, INF)``.
 
-    The nearest anchor, off ``nearest_anchor``'s table, is read first and
+    ``nearest`` is the run's nearest-anchor table, the roots of a
+    never-closed ``NearestTarget`` over every anchor: each node's nearest
+    anchor, ties going to the lower id, on routes that pass no other anchor,
+    None where no anchor is reached. The dropoff's entry is read first and
     returned when it is ready. Only otherwise does a Dijkstra over
     ``g.moves`` run from the dropoff. Nodes pop in ``(ticks, node)`` order,
     so ties go to the lower id and the table's anchor is settled first. An
@@ -334,13 +320,13 @@ def choose_anchor(tg, agv, dropoff, start):
     around other anchors, and its gaps are read once: the table's anchor's
     list is the one already read."""
     g = tg.graph
-    nearest = nearest_anchor(g)[dropoff]
-    if nearest is None:
+    first_pick = nearest[dropoff]
+    if first_pick is None:
         return None
     free = ((start, INF),)
-    first = tg.gaps_from(nearest, agv, start)
+    first = tg.gaps_from(first_pick, agv, start)
     if first == free:
-        return nearest
+        return first_pick
     anchors, moves = g.anchors, g.moves
     dist = [INF] * g.num_nodes
     dist[dropoff] = 0
@@ -351,7 +337,7 @@ def choose_anchor(tg, agv, dropoff, start):
         if d > dist[v]:
             continue
         if v in anchors:
-            gaps = first if v == nearest else tg.gaps_from(v, agv, start)
+            gaps = first if v == first_pick else tg.gaps_from(v, agv, start)
             if gaps == free:
                 return v
             if nearest_open is None and gaps and gaps[-1][1] == INF:
@@ -392,6 +378,7 @@ def build_timetable(
 
     fleet = sorted(placements)
     paths = {agv: [parked.paths[agv]] for agv in fleet}
+    nearest = NearestTarget(g, g.anchors).root if demands else None
 
     horizon = attrgetter("horizon")
     for h, batch in groupby(sorted(demands, key=horizon), horizon):
@@ -402,7 +389,7 @@ def build_timetable(
             last = paths[agv][-1]
             held = last.steps[-1].resource
             start = max(h, last.arrival)
-            anchor = choose_anchor(tg, agv, d.dropoff, start)
+            anchor = choose_anchor(tg, agv, d.dropoff, start, nearest)
             stages = [
                 Stage({d.pickup}, stop_pickup),
                 Stage({d.dropoff}, stop_dropoff),

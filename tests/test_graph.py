@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from agvtime.graph import (
     validate,
 )
 
-from oracles import spatial_path_cost_first
+from oracles import shortest_ticks, spatial_path_cost_first
 
 
 def grid4():
@@ -96,6 +97,66 @@ def test_validate_violations():
     assert validate(g5, 1).assumption == 1
 
 
+def random_explicit_graph(rng):
+    """2 to 8 nodes, up to twice as many edges as nodes, weights 1 to 3,
+    about one edge in three one way, and a random set of anchors."""
+    n = rng.randint(2, 8)
+    edges = []
+    for _ in range(rng.randint(1, 2 * n)):
+        a, b = rng.sample(range(n), 2)
+        edges.append(Edge(a, b, rng.randint(1, 3), rng.random() < 0.3))
+    anchors = rng.sample(range(n), rng.randint(0, n // 2))
+    return ResourceGraph(n, edges, anchors)
+
+
+def reaches_each_other(g, nodes):
+    """Whether every node of ``nodes`` reaches every other along edges that
+    join two of them, by ``oracles.shortest_ticks`` from each one."""
+    inner = ResourceGraph(g.num_nodes, [e for e in g.edges if e.a in nodes and e.b in nodes], ())
+    return all(nodes <= shortest_ticks(inner, v).keys() for v in nodes)
+
+
+def test_derived_tables_match_the_edge_list():
+    # ``into`` is ``moves`` reversed and ``adjacent`` the symmetric resource
+    # adjacency, each checked against the edge list; rules 1 and 3 of
+    # ``validate`` agree with a reachability check by a separate Dijkstra.
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(300):
+        g = random_explicit_graph(rng)
+        nn = g.num_nodes
+        moves, into = [Counter() for _ in range(nn)], [Counter() for _ in range(nn)]
+        incident = [Counter() for _ in range(nn)]
+        for i, e in enumerate(g.edges):
+            rid = nn + i
+            incident[e.a][rid] += 1
+            incident[e.b][rid] += 1
+            for u, v in ((e.a, e.b),) if e.directed else ((e.a, e.b), (e.b, e.a)):
+                moves[u][rid, v, e.weight] += 1
+                into[v][rid, u, e.weight] += 1
+            assert g.adjacent[rid] == (e.a, e.b)
+        for v in range(nn):
+            assert Counter(g.moves[v]) == moves[v]
+            assert Counter(g.into[v]) == into[v]
+            assert Counter(g.adjacent[v]) == incident[v]
+        assert len(g.adjacent) == g.num_resources
+        for r in range(g.num_resources):
+            for q in g.adjacent[r]:
+                assert g.is_node(r) != g.is_node(q) and r in g.adjacent[q]
+        broken = validate(g, 0)
+        plain = {v for v in range(nn) if v not in g.anchors}
+        if not reaches_each_other(g, set(range(nn))):
+            want = 1
+        elif not reaches_each_other(g, plain):
+            want = 3
+        else:
+            want = None
+        got = broken.assumption if broken is not None and broken.assumption != 4 else None
+        assert got == want, (g.edges, g.anchors)
+        seen.add(want)
+    assert seen == {1, 3, None}
+
+
 def test_subdivide_counts_and_weights():
     g = grid4()
     for s in (2, 4):
@@ -140,7 +201,7 @@ def test_links_radius1():
     links = build_adjacency_links(g, 1)
     adj = adjacency(g)
     for v in range(g.num_nodes):
-        assert links.linked[v] == frozenset(g.incident[v]) | {v}
+        assert links.linked[v] == frozenset(g.adjacent[v]) | {v}
         assert shell(adj, v, 1) == links.linked[v] - {v}
     for i, e in enumerate(g.edges):
         rid = g.num_nodes + i
@@ -160,7 +221,7 @@ def test_links_symmetry_and_boundary_subset():
 
 def adjacency(g):
     nn = g.num_nodes
-    adj = {v: set(g.incident[v]) for v in range(nn)}
+    adj = {v: set(g.adjacent[v]) for v in range(nn)}
     for i, e in enumerate(g.edges):
         adj[nn + i] = {e.a, e.b}
     return adj

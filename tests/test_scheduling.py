@@ -21,7 +21,7 @@ from agvtime.graph import (
     validate,
 )
 from agvtime.intervals import INF, GapTree
-from agvtime.pathing import SourceSpec, Stage, time_path
+from agvtime.pathing import NearestTarget, SourceSpec, Stage, time_path
 from agvtime.scheduling import (
     PRESETS,
     Demand,
@@ -30,7 +30,6 @@ from agvtime.scheduling import (
     build_timetable,
     choose_anchor,
     metrics,
-    nearest_anchor,
 )
 from agvtime.timegraph import TimeGraph
 from agvtime.scenarios import generate, materialise
@@ -45,6 +44,11 @@ def rid_at(g, xy):
 
 def anchors_sorted(g):
     return sorted(g.anchors)
+
+
+def nearest_table(g):
+    """The nearest-anchor table ``build_timetable`` hands ``choose_anchor``."""
+    return NearestTarget(g, g.anchors).root
 
 
 def build(g, placements, demands, **kw):
@@ -455,20 +459,20 @@ def test_final_anchor_is_one_free_from_the_start_tick(monkeypatch):
     # edge from (1, 1), as are (4, 3) and (3, 4) from (3, 3): the lower id wins.
     g = build_grid(5, 10)
     tg = TimeGraph(g)
-    assert choose_anchor(tg, 1, rid_at(g, (1, 1)), 0) == rid_at(g, (1, 0))
-    assert choose_anchor(tg, 1, rid_at(g, (3, 3)), 0) == rid_at(g, (4, 3))
+    assert choose_anchor(tg, 1, rid_at(g, (1, 1)), 0, nearest_table(g)) == rid_at(g, (1, 0))
+    assert choose_anchor(tg, 1, rid_at(g, (3, 3)), 0, nearest_table(g)) == rid_at(g, (4, 3))
 
     g, tg, anchors, held, free = anchor_choice_setup()
     reads = recorded_reads(monkeypatch, tg)
     dropoff = rid_at(g, (3, 1))
     # ``held`` is one edge away but AGV 2 holds it until 5000: the nearest
     # ready anchor is ``free``, and only the anchors nearer than it are read.
-    assert choose_anchor(tg, 1, dropoff, 40) == free
+    assert choose_anchor(tg, 1, dropoff, 40, nearest_table(g)) == free
     order = by_nearness(g, dropoff)
     assert reads == order[: order.index(free) + 1]
     # Once the hold has ended by the start tick, the nearer one is ready.
     reads.clear()
-    assert choose_anchor(tg, 1, dropoff, 5000) == held
+    assert choose_anchor(tg, 1, dropoff, 5000, nearest_table(g)) == held
     assert reads == [held]
 
 
@@ -481,7 +485,7 @@ def test_final_anchor_falls_back_to_the_open_ones(monkeypatch):
     for xy, anchor in (((3, 1), held), ((1, 2), free)):
         reads.clear()
         dropoff = rid_at(g, xy)
-        assert choose_anchor(tg, 1, dropoff, 40) == anchor
+        assert choose_anchor(tg, 1, dropoff, 40, nearest_table(g)) == anchor
         assert reads == by_nearness(g, dropoff) and sorted(reads) == anchors
         # The demand still plans: it waits for the anchor's hold to end.
         stages = [
@@ -496,7 +500,7 @@ def test_final_anchor_falls_back_to_the_open_ones(monkeypatch):
     # With every anchor held to INF by another AGV, none is open.
     tg.reserve(held, 9, 5000, INF)
     tg.reserve(free, 9, 6000, INF)
-    assert choose_anchor(tg, 1, rid_at(g, (2, 2)), 40) is None
+    assert choose_anchor(tg, 1, rid_at(g, (2, 2)), 40, nearest_table(g)) is None
 
 
 def test_final_anchor_reads_one_gap_list_per_anchor(monkeypatch):
@@ -510,7 +514,7 @@ def test_final_anchor_reads_one_gap_list_per_anchor(monkeypatch):
     def chosen(xy):
         # Reads stop at a ready pick; with none ready, every anchor is read.
         reads.clear()
-        anchor = choose_anchor(tg, 1, rid_at(g, xy), 40)
+        anchor = choose_anchor(tg, 1, rid_at(g, xy), 40, nearest_table(g))
         order = by_nearness(g, rid_at(g, xy))
         assert reads in (order[: order.index(anchor) + 1], order)
         return anchor
@@ -566,8 +570,7 @@ def test_final_anchor_matches_the_nearest_ready_reference(monkeypatch):
     for g in graphs:
         anchors = anchors_sorted(g)
         plain = [v for v in range(g.num_nodes) if v not in g.anchors]
-        table = nearest_anchor(g)
-        assert nearest_anchor(g) is table
+        table = nearest_table(g)
         for v in plain:
             order = by_nearness(g, v)
             assert table[v] == (order[0] if order else None), (g.num_nodes, v)
@@ -594,7 +597,7 @@ def test_final_anchor_matches_the_nearest_ready_reference(monkeypatch):
                 if want is None:
                     want = next((a for a in order if a in open_), None)
                 reads.clear()
-                got = choose_anchor(tg, 1, dropoff, start)
+                got = choose_anchor(tg, 1, dropoff, start, table)
                 assert got == want, (g.num_nodes, dropoff, start)
                 if got is not None and got in ready:
                     assert reads == order[: order.index(got) + 1]
@@ -603,6 +606,27 @@ def test_final_anchor_matches_the_nearest_ready_reference(monkeypatch):
                     assert reads == order
                     seen.add("open" if got is not None else "none")
     assert seen == {"ready", "passed over", "open", "none"}
+
+
+def test_nearest_anchor_dijkstras_per_run(monkeypatch):
+    # The anchoriser's bound is one ``NearestTarget``; a run with demands
+    # builds one more, its nearest-anchor table, and one without builds none.
+    built = []
+    real = NearestTarget.__init__
+
+    def counted(self, g, targets):
+        built.append(g)
+        real(self, g, targets)
+
+    monkeypatch.setattr(NearestTarget, "__init__", counted)
+    sc = generate(grid=6, agvs=3, demands=6, seed=2)
+    g, links, placements, demands = materialise(sc)
+    for anchoriser in ("naive", "greedy"):
+        for plan, want in ((demands, 2), ([], 1)):
+            built.clear()
+            tt = build_timetable(g, links, placements, plan, anchoriser=anchoriser, seed=2)
+            assert_clean(tt)
+            assert built == [g] * want, (anchoriser, len(plan))
 
 
 def test_the_run_rng_only_shuffles_each_batch(monkeypatch):

@@ -72,15 +72,18 @@ class ResourceGraph:
         adjacent = [[] for _ in range(num_nodes)]
         moves = [[] for _ in range(num_nodes)]
         into = [[] for _ in range(num_nodes)]
+        # ``manhattan_bound`` inlined: checked per edge, the bound holds for
+        # every route by the triangle inequality.
+        coords = self.coords if unit_weight is not None else None
         for i, e in enumerate(self.edges):
             rid = num_nodes + i
             if e.weight < 1:
                 raise InvalidParameterError(f"edge weight must be >= 1, got {e.weight}")
             if not (0 <= e.a < num_nodes and 0 <= e.b < num_nodes):
                 raise InvalidParameterError(f"edge {i} endpoint out of range")
-            if self.coords is not None and unit_weight is not None:
-                # Checked per edge, the bound holds for every route by the triangle inequality.
-                bound = manhattan_bound(self, e.a, e.b)
+            if coords is not None:
+                (ax, ay), (bx, by) = coords[e.a], coords[e.b]
+                bound = unit_weight * (abs(ax - bx) + abs(ay - by))
                 if bound > e.weight:
                     raise InvalidParameterError(f"edge e{i} weight {e.weight} is below its Manhattan bound {bound}")
             adjacent[e.a].append(rid)

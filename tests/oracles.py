@@ -22,6 +22,9 @@ committed paths alone. eager_multi_source_time_path is the route search as it
 was before it deferred the moves that raise the guide: every move out of a
 popped label reads its windows and pushes its labels at once, and the guide
 runs once per pushed label. The engine must return its path exactly.
+pickup_arrival_pick is batch assignment by a full scan of every (AGV, demand)
+pair for every commit, which the scheduler's incremental selection must match
+commit for commit.
 """
 
 import heapq
@@ -33,6 +36,7 @@ from operator import itemgetter
 
 from agvtime.anchoring import AnchorResult, hold, initialise_reservations
 from agvtime.footprint import boundary_reservations
+from agvtime.graph import manhattan_bound
 from agvtime.intervals import INF, fmt_tick
 from agvtime.pathing import (
     NearestTarget,
@@ -544,3 +548,22 @@ def service_faults(tt, demands, stop_pickup, stop_dropoff):
                 f"has no route of its own ({len(fits[k])} could serve it)"
             )
     return faults
+
+
+def pickup_arrival_pick(g, paths, h, pending):
+    """The ``(agv, demand, start)`` that batch assignment commits next in the
+    horizon ``h`` batch, found by scanning every (AGV, demand) pair: the least
+    ``(estimate, agv, demand id)``. An AGV starts at the later of ``h`` and
+    its last path's arrival; the estimate is that start plus
+    ``manhattan_bound`` from its last path's final resource to the pickup,
+    or plus 0 on a graph without coords or ``unit_weight``."""
+    embedded = g.coords is not None and g.unit_weight is not None
+    picks = []
+    for agv, plist in paths.items():
+        last = plist[-1]
+        start = max(h, last.arrival)
+        for d in pending:
+            dist = manhattan_bound(g, last.steps[-1].resource, d.pickup) if embedded else 0
+            picks.append((start + dist, agv, d.id, d, start))
+    _, agv, _, d, start = min(picks)
+    return agv, d, start

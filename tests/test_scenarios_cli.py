@@ -332,7 +332,7 @@ def test_cli_run_overrides_every_field_of_a_file(tmp_path, capsys):
     )
     assert code == EXIT_OK
     row = drop_runtime((out / "metrics.csv").read_text())[-1]
-    assert row == ["run", "grid6-sub2-r3-a2-d3-seed5", "partial-manhattan", "156", "220", "naive"]
+    assert row == ["run", "grid6-sub2-r3-a2-d3-seed5", "partial-manhattan", "136", "190", "naive"]
 
 
 def test_cli_injected_conflict_fails_audit(tmp_path, capsys):

@@ -3,9 +3,9 @@
 import hashlib
 import json
 import random
+import sys
 import tracemalloc
 from itertools import chain
-from types import SimpleNamespace
 
 import pytest
 
@@ -35,7 +35,14 @@ from agvtime.timegraph import TimeGraph
 from agvtime.scenarios import generate, materialise
 from agvtime.timegraph import Reservation, audit_safety
 
-from oracles import anchor_ticks, service_faults, shortest_ticks, snapshot_before, timetable_json
+from oracles import (
+    anchor_ticks,
+    pickup_arrival_pick,
+    service_faults,
+    shortest_ticks,
+    snapshot_before,
+    timetable_json,
+)
 
 
 def rid_at(g, xy):
@@ -396,9 +403,11 @@ def test_streamed_json_matches_the_text(tmp_path):
 
 def test_streamed_write_peak_stays_below_its_output(tmp_path):
     # A streamed write holds one AGV's formatted rows and their join at a
-    # time, about three times that AGV's text, plus the name table; never
-    # the file's text, which the returned string alone is. With Python 3.11
-    # it read 0.63 times the text here, and 3.5 times the largest AGV's text.
+    # time, about three times that AGV's text, plus the name table, which
+    # is measured here on its own; never the file's text, which the
+    # returned string alone is. With Python 3.11 it read 0.67 times the
+    # text here: 2.6 times the largest AGV's text plus a 271-name table of
+    # 23.8 KB, itself twice that AGV's text.
     sc = generate(
         grid=8, agvs=8, demands=24, seed=3, subdivisions=2, link_radius=3, preset="partial-manhattan"
     )
@@ -407,6 +416,16 @@ def test_streamed_write_peak_stays_below_its_output(tmp_path):
     chunks = list(tt._chunks())
     size, largest = len("".join(chunks)), max(map(len, chunks))
     del chunks
+    tracemalloc.start()
+    try:
+        names = scheduling._Names(g.describe)
+        for steps in tt.steps.values():
+            for r, _, _ in steps:
+                names[r]
+        name_table = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del names
     with open(tmp_path / "timetable.json", "w", encoding="utf-8") as f:
         tracemalloc.start()
         try:
@@ -415,7 +434,7 @@ def test_streamed_write_peak_stays_below_its_output(tmp_path):
         finally:
             tracemalloc.stop()
     assert peak < size
-    assert peak < 4 * largest
+    assert peak < 3.5 * largest + name_table
 
 
 def anchor_choice_setup():
@@ -629,25 +648,25 @@ def test_nearest_anchor_dijkstras_per_run(monkeypatch):
             assert built == [g] * want, (anchoriser, len(plan))
 
 
-def test_the_run_rng_only_shuffles_each_batch(monkeypatch):
-    # The run's rng draws nothing but one shuffle per horizon batch, so its
-    # state after a run equals a twin's that shuffled lists of those sizes.
-    rngs = []
+def test_only_the_naive_anchoriser_draws_at_random(monkeypatch):
+    # Assignment draws nothing at random: a run under the greedy anchoriser
+    # builds no ``random.Random``, and one under the naive anchoriser builds
+    # only that anchoriser's, seeded with the run's seed.
+    built = []
 
     class Recorded(random.Random):
-        def __init__(self, seed):
+        def __init__(self, seed=None):
             super().__init__(seed)
-            self.seed_used = seed
-            rngs.append(self)
+            built.append((sys._getframe(1).f_globals["__name__"], seed))
 
-    monkeypatch.setattr(scheduling, "random", SimpleNamespace(Random=Recorded))
-    for tt, demands, _ in mixed_horizon_plans():
-        (rng,) = rngs
-        rngs.clear()
-        twin = random.Random(rng.seed_used)
-        for h in sorted(set(d.horizon for d in demands)):
-            twin.shuffle([d for d in demands if d.horizon == h])
-        assert rng.getstate() == twin.getstate()
+    assert not hasattr(scheduling, "random")
+    sc = generate(grid=8, agvs=3, demands=18, seed=11)
+    g, links, placements, demands = materialise(sc)
+    monkeypatch.setattr(random, "Random", Recorded)
+    for anchoriser, want in (("greedy", []), ("naive", [("agvtime.anchoring", 11)])):
+        built.clear()
+        assert_clean(build_timetable(g, links, placements, demands, anchoriser=anchoriser, seed=11))
+        assert built == want, anchoriser
 
 
 def test_no_open_anchor_is_a_no_path_fault():
@@ -693,14 +712,14 @@ def pinned_plans():
 
 
 def test_planned_timetables_are_pinned():
-    # Digest taken once each route ended on the ready anchor nearest its
-    # dropoff; a change that promises the same plans must keep it.
+    # Digest taken once each batch went by estimated pickup arrival; a
+    # change that promises the same plans must keep it.
     digest = hashlib.sha256()
     for tt, demands, stops in pinned_plans():
         assert_clean(tt)
         assert service_faults(tt, demands, *stops) == []
         digest.update(tt.to_json().encode())
-    assert digest.hexdigest() == "69b2f39f081664807284da347fa41e279b43a50552d836cc2c5e255844f6ee9d"
+    assert digest.hexdigest() == "3e8381d85c214963a06069fa0db5e6715c3eaa5ac4d2432a885440026fb6485e"
 
 
 def test_zero_length_steps_share_their_tick():
@@ -740,66 +759,159 @@ def mixed_horizon_plans():
 
 
 def test_mixed_horizon_batches_are_pinned():
-    # Digest taken once each route ended on the ready anchor nearest its
-    # dropoff.
+    # Digest taken once each batch went by estimated pickup arrival.
     digest = hashlib.sha256()
     for tt, demands, stops in mixed_horizon_plans():
         assert_clean(tt)
         assert service_faults(tt, demands, *stops) == []
         digest.update(tt.to_json().encode())
-    assert digest.hexdigest() == "e603a91cee41e39f5dc708cdcfc37f80a9a5529359ff172eb1f60fe2c1780609"
+    assert digest.hexdigest() == "4cc4d4600d5819fae880dc6ae0809502ac0f923d8a76a6395e1d94b0bddc773e"
 
 
-def test_each_demand_goes_to_the_agv_free_first(monkeypatch):
-    # Each commit is recorded as (AGV, start tick, path) by wrapping the
-    # planner's route call; demands are served in horizon order, so the
-    # k-th commit serves a demand with the k-th smallest horizon.
+def recorded_commits(monkeypatch):
+    """Every commit of the ``build_timetable`` calls from now on, as
+    ``(agv, demand, start)``: each pair ``_assignments`` yields, with the
+    start tick the route call that follows it receives."""
     commits = []
-    plan = scheduling._plan
+    assign, plan = scheduling._assignments, scheduling._plan
 
-    def recorded(tg, g, agv, src, stages, preset, earliest):
-        p = plan(tg, g, agv, src, stages, preset, earliest)
-        commits.append((agv, earliest, p))
-        return p
+    def assignments(*args):
+        for d, agv in assign(*args):
+            commits.append((agv, d))
+            yield d, agv
 
-    monkeypatch.setattr(scheduling, "_plan", recorded)
+    def route(tg, g, agv, src, stages, preset, earliest):
+        assert commits[-1][0] == agv and len(commits[-1]) == 2
+        commits[-1] += (earliest,)
+        return plan(tg, g, agv, src, stages, preset, earliest)
 
-    # By hand: three AGVs parked on anchors, so all are free at tick 0, and
-    # four demands at horizon 0.
+    monkeypatch.setattr(scheduling, "_assignments", assignments)
+    monkeypatch.setattr(scheduling, "_plan", route)
+    return commits
+
+
+def coordless_plans():
+    """One generated grid plan, on the same graph without coords, where
+    every estimate is the AGV's start tick."""
+    sc = generate(grid=8, agvs=3, demands=20, seed=7)
+    g, _, placements, demands = materialise(sc)
+    bare = ResourceGraph(g.num_nodes, g.edges, g.anchors)
+    links = build_adjacency_links(bare, sc.link_radius)
+    yield build_timetable(bare, links, placements, demands, seed=sc.seed), demands, (0, 0)
+
+
+def test_each_batch_goes_by_estimated_pickup_arrival(monkeypatch):
+    # Every commit of the pinned, the mixed-horizon and a coord-less plan is
+    # the one the full scan of ``pickup_arrival_pick`` names, over the paths
+    # committed before it: the same AGV, demand and start tick.
+    commits = recorded_commits(monkeypatch)
+    plans = []
+    for tt, demands, stops in chain(pinned_plans(), mixed_horizon_plans(), coordless_plans()):
+        assert_clean(tt)
+        assert service_faults(tt, demands, *stops) == []
+        mine = iter(commits[:])
+        commits.clear()
+        done = dict.fromkeys(tt.paths, 1)
+        for h in sorted({d.horizon for d in demands}):
+            pending = [d for d in demands if d.horizon == h]
+            while pending:
+                paths = {agv: plist[: done[agv]] for agv, plist in tt.paths.items()}
+                agv, d, start = pickup_arrival_pick(tt.tg.graph, paths, h, pending)
+                assert next(mine) == (agv, d, start)
+                assert tt.paths[agv][done[agv]].steps[0].start == start
+                pending.remove(d)
+                done[agv] += 1
+        assert next(mine, None) is None
+        assert done == {agv: len(plist) for agv, plist in tt.paths.items()}
+        plans.append(tt.tg.graph.coords is None)
+    assert plans == [False] * (len(PINNED_PLANS) + 3 * len(PRESETS)) + [True]
+
+
+def test_a_nearer_agv_free_later_wins(monkeypatch):
+    # AGV 1 waits on (0, 1), AGV 2 on (5, 4), both free at tick 0. Demand 0
+    # picks up one edge from AGV 2, which ends it on (5, 3) at tick 30.
+    # Demand 1's pickup (4, 3) is then one edge from AGV 2, 30 + 10 ticks,
+    # and six from AGV 1, 0 + 60 ticks: AGV 2 takes it, though AGV 1 has
+    # been free since tick 0 and free-first assignment would have sent it.
+    commits = recorded_commits(monkeypatch)
     g = build_grid(6, 10)
-    anchors = anchors_sorted(g)
-    placements = {1: SourceSpec(anchors[0]), 2: SourceSpec(anchors[7]), 3: SourceSpec(anchors[14])}
-    demands = [
-        Demand(0, rid_at(g, (1, 1)), rid_at(g, (4, 4))),
-        Demand(1, rid_at(g, (2, 2)), rid_at(g, (3, 2))),
-        Demand(2, rid_at(g, (1, 4)), rid_at(g, (2, 3))),
-        Demand(3, rid_at(g, (3, 3)), rid_at(g, (1, 2))),
-    ]
-    tt = build(g, placements, demands, seed=3)
+    at = lambda *xy: rid_at(g, xy)
+    placements = {1: SourceSpec(at(0, 1)), 2: SourceSpec(at(5, 4))}
+    demands = [Demand(0, at(4, 4), at(4, 3)), Demand(1, at(4, 3), at(3, 3))]
+    tt = build(g, placements, demands)
     assert_clean(tt)
     assert service_faults(tt, demands, 0, 0) == []
-    assert [plist[0].arrival for plist in tt.paths.values()] == [0, 0, 0]
-    first = [agv for agv, _, _ in commits[:3]]
-    assert sorted(first) == [1, 2, 3]
-    arrivals = {agv: p.arrival for agv, _, p in commits[:3]}
-    assert len(set(arrivals.values())) == 3
-    soonest = min(arrivals, key=arrivals.get)
-    assert commits[3][0] == soonest
-    assert commits[3][1] == arrivals[soonest] == tt.paths[soonest][2].steps[0].start
+    assert commits == [(2, demands[0], 0), (2, demands[1], 30)]
+    assert tt.paths[2][1].steps[-1].resource == at(5, 3)
+    assert len(tt.paths[1]) == 1 and tt.paths[1][0].arrival == 0
 
-    # Every commit of the pinned and the mixed-horizon plans.
-    plans = 0
-    commits.clear()
+
+def test_ties_go_to_the_lower_agv_then_the_lower_demand(monkeypatch):
+    # AGV 1 on (0, 2) and AGV 2 on (2, 0), both free at tick 0, are two
+    # edges from demand 5's pickup (2, 2). AGV 1 is as near demand 7's
+    # (1, 3) and AGV 2 demand 3's (3, 1); each is four from the other.
+    # Every AGV's best is 20 ticks: AGV 1 goes first, and takes demand 5
+    # before 7, though AGV 2's best, demand 3, has the lowest id.
+    commits = recorded_commits(monkeypatch)
+    g = build_grid(6, 10)
+    at = lambda *xy: rid_at(g, xy)
+    placements = {1: SourceSpec(at(0, 2)), 2: SourceSpec(at(2, 0))}
+    demands = [
+        Demand(7, at(1, 3), at(1, 4)),
+        Demand(3, at(3, 1), at(4, 1)),
+        Demand(5, at(2, 2), at(3, 2)),
+    ]
+    tt = build(g, placements, demands)
+    assert_clean(tt)
+    assert service_faults(tt, demands, 0, 0) == []
+    assert [(agv, d.id, start) for agv, d, start in commits[:2]] == [(1, 5, 0), (2, 3, 0)]
+
+
+def test_each_commit_rescans_only_the_agvs_whose_best_it_took(monkeypatch):
+    # Each batch scans every AGV once; after each commit but the batch's
+    # last, exactly the AGVs whose best was the demand just taken are
+    # rescanned, in id order, each from where its last path ends. An AGV is
+    # told apart by its anchor's coords, which no two AGVs share.
+    events = []
+    cheapest, assign = scheduling._cheapest, scheduling._assignments
+
+    def scan(pickups, start, x, y, unit):
+        best = cheapest(pickups, start, x, y, unit)
+        events.append(((x, y), best))
+        return best
+
+    def assignments(*args):
+        for d, agv in assign(*args):
+            events.append((agv, d.id))
+            yield d, agv
+
+    monkeypatch.setattr(scheduling, "_cheapest", scan)
+    monkeypatch.setattr(scheduling, "_assignments", assignments)
+    scans = rescans = full = 0
     for tt, demands, _ in chain(pinned_plans(), mixed_horizon_plans()):
-        mine = commits[:]
-        commits.clear()
-        free = {agv: plist[0].arrival for agv, plist in tt.paths.items()}
-        fleet = sorted(free)
-        assert len(mine) == len(demands)
-        for h, (agv, earliest, p) in zip(sorted(d.horizon for d in demands), mine):
-            assert agv == min(fleet, key=lambda a: (max(h, free[a]), a))
-            assert earliest == max(h, free[agv])
-            free[agv] = p.arrival
-        assert free == {agv: plist[-1].arrival for agv, plist in tt.paths.items()}
-        plans += 1
-    assert plans == len(PINNED_PLANS) + 3 * len(PRESETS)
+        coords = tt.tg.graph.coords
+        fleet = sorted(tt.paths)
+        ends = {agv: [coords[p.steps[-1].resource] for p in plist] for agv, plist in tt.paths.items()}
+        done = dict.fromkeys(fleet, 0)
+        mine = iter(events[:])
+        events.clear()
+        for h in sorted({d.horizon for d in demands}):
+            size = sum(d.horizon == h for d in demands)
+            best, due = {}, fleet
+            for k in range(size):
+                for a in due:
+                    xy, best[a] = next(mine)
+                    assert xy == ends[a][done[a]]
+                scans += len(due)
+                agv, taken = next(mine)
+                assert best[agv][1] == taken
+                assert (best[agv][0], agv) == min((best[a][0], a) for a in fleet)
+                done[agv] += 1
+                due = [a for a in fleet if best[a][1] == taken]
+                if k < size - 1:
+                    rescans += len(due)
+                    full += len(fleet)
+        assert next(mine, None) is None
+    # On these fleets of 3 to 6 AGVs: 493 rescans, where rescanning the
+    # whole fleet after each commit would make 986.
+    assert 0 < rescans < full

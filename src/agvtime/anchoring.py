@@ -13,15 +13,19 @@ first pass builds a pending AGV's root, reading its start gaps, only once the
 AGV's start tick plus its distance is at most the least bound still queued,
 and the second pass starts just the AGVs whose distance allows the least
 arrival. So a round costs the racers that can still win, not every pending
-AGV. After each commit the anchors in the parked AGV's final
-footprint ball close (``pathing.NearestTarget.close``): that AGV holds them
-to the end of time, and a route's final hold needs a window to the end of
-time, so no other AGV can finish on one. The distance to the nearest open
-anchor is thus still consistent and still a lower bound on every finishing
-route, only tighter than one to any anchor. A close resets only the nodes
-whose nearest open anchor closed, which each anchor lists. The bound only
-cuts work; each search returns the path, and each run the result, that the
-unbounded search gives (``pathing``'s module docstring has both arguments).
+AGV. Greedy checks each start once and carries each pending AGV's race
+entrant from round to round, so a round's set-up beyond those racers is one
+sort of the entrants by their bound. After each commit the anchors in the
+parked AGV's final footprint ball close (``pathing.NearestTarget.close``):
+that AGV holds them to the end of time, and a route's final hold needs a
+window to the end of time, so no other AGV can finish on one. The distance
+to the nearest open anchor is thus still consistent and still a lower bound
+on every finishing route, only tighter than one to any anchor. A close
+resets only the nodes whose nearest open anchor closed, which each anchor
+lists, and returns them: only an entrant whose bound reads one of them gets
+a new one. The bound only cuts work; each search returns the path, and each
+run the result, that the unbounded search gives (``pathing``'s module
+docstring has both arguments).
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ from .pathing import (
     SourceSpec,
     Stage,
     TimePath,
+    check_source,
+    entrant,
     multi_source_time_path,
     time_path,
 )
@@ -63,10 +69,15 @@ def hold(links: GeoLinks, agv: AgvId, rid: int, since) -> list[Reservation]:
 
 def initialise_reservations(
     tg: TimeGraph, links: GeoLinks, placements: dict[AgvId, SourceSpec]
-) -> None:
-    """Pin each AGV's start and its linked surroundings for all time."""
+) -> dict[AgvId, int | None]:
+    """Pin each AGV's start and its linked surroundings for all time, once
+    every placement has passed ``check_source``: a bad one raises
+    InvalidParameterError with nothing pinned. Returns each AGV's
+    ``check_source`` head."""
+    heads = {agv: check_source(tg.graph, spec) for agv, spec in placements.items()}
     for agv, spec in placements.items():
         tg.reserve_all(hold(links, agv, spec.resource, 0))
+    return heads
 
 
 def _commit(tg, links, agv, path):
@@ -155,22 +166,34 @@ def greedy_anchorise(
     links: GeoLinks,
     placements: dict[AgvId, SourceSpec],
 ) -> AnchorResult:
-    """Race all unparked AGVs at once; the soonest finisher commits each round."""
+    """Race all unparked AGVs at once; the soonest finisher commits each round.
+
+    The unparked AGVs' entrants (``pathing.entrant``) go from round to round
+    in AGV order, less each winner. A close raises the bound only on the
+    nodes it returns, so an entrant's low is computed again only when the
+    node it reads, its start node or the head of its start edge, is one.
+    """
     g = tg.graph
     stages = [Stage(g.anchors, INF)]
     nearest = NearestTarget(g, g.anchors)
-    initialise_reservations(tg, links, placements)
-    pending = set(placements)
+    bound = nearest.bound
+    heads = initialise_reservations(tg, links, placements)
+    racers = {a: entrant(g, a, placements[a], heads[a], bound) for a in sorted(placements)}
+    readers: dict[int, list[AgvId]] = {}  # node -> the AGVs whose low reads it
+    for a, spec in placements.items():
+        readers.setdefault(spec.resource if heads[a] is None else heads[a], []).append(a)
     paths: dict[AgvId, TimePath] = {}
     attempts = 0
-    while pending:
+    while racers:
         attempts += 1
-        sources = [(a, placements[a]) for a in sorted(pending)]
-        p = multi_source_time_path(tg, sources, stages, bound=nearest.bound)
+        p = multi_source_time_path(tg, racers.values(), stages, bound=bound)
         if p is None:
-            return AnchorResult(paths, frozenset(pending), attempts)
+            return AnchorResult(paths, frozenset(racers), attempts)
         _commit(tg, links, p.agv, p)
-        nearest.close(links.linked[p.steps[-1].resource])
         paths[p.agv] = p
-        pending.discard(p.agv)
+        del racers[p.agv]
+        for v in nearest.close(links.linked[p.steps[-1].resource]):
+            for a in readers.get(v, ()):
+                if a in racers:
+                    racers[a] = entrant(g, a, placements[a], heads[a], bound)
     return AnchorResult(paths, frozenset(), attempts)

@@ -107,6 +107,13 @@ f*. Both keep every result:
   built; the second pass pushes exactly the roots the cut keeps (a root's
   ``entry + bound`` is its low), in the same order, and a cut root takes no
   push number, so every label, every tie and the returned path stay the same.
+
+A race's set-up is one sort of its entrants by low; it builds a gap memo and
+a root only for a racer it admits. A caller that races the same AGVs round
+after round, as greedy anchorisation does, hands each race the entrants
+``(low, agv, spec, head)`` the last one was given, less the winner: each
+start is checked once, and a low is computed again only when the bound at
+the node it reads has changed.
 """
 
 from __future__ import annotations
@@ -305,11 +312,17 @@ class NearestTarget:
                 if d + w < dist[u]:
                     heapq.heappush(heap, (d + w, u, r))
 
-    def close(self, resources) -> None:
-        """Stop counting every open target among ``resources`` as one."""
+    def close(self, resources) -> list[int]:
+        """Stop counting every open target among ``resources`` as one.
+
+        Returns the nodes it reset, the members of the targets it closed:
+        those, and only those, may now have a longer distance. Every other
+        node keeps its exact distance, so a caller that keeps values read
+        off ``bound`` refreshes just the ones that read a returned node.
+        """
         shut = self.open.intersection(resources)
         if not shut:
-            return
+            return []
         self.open -= shut
         dist, root = self._dist, self.root
         reset = [v for t in shut for v in self._members.pop(t)]
@@ -321,6 +334,7 @@ class NearestTarget:
                 if dist[v] < INF:  # rooted at an open target, so exact
                     seeds.append((dist[v] + w, u, root[v]))
         self._settle(seeds)
+        return reset
 
 
 def _source_label(tg: TimeGraph, memo: dict, agv: AgvId, spec: SourceSpec, head, earliest: int):
@@ -351,11 +365,12 @@ def _search(
 
     ``racers`` lists (admit, agv, spec, head), ``head`` being
     ``check_source``'s; ``roots`` holds each AGV's root label, or None when
-    blocked, once built, and ``memos`` its gap memo. A racer's root is built
-    (if not yet in ``roots``) and pushed, in list order, once its ``admit``
-    is at most the least ``f`` on the heap or the heap is empty; an
-    ``admit`` of -INF pushes it before the first pop. Returns the done label,
-    or None when no AGV can finish the route. A label is its own heap entry
+    blocked, once built, and ``memos`` its gap memo, made with the root. A
+    racer's root is built (if not yet in ``roots``) and pushed, in list
+    order, once its ``admit`` is at most the least ``f`` on the heap or the
+    heap is empty; an ``admit`` of -INF pushes it before the first pop.
+    Returns the done label, or None when no AGV can finish the route. A
+    label is its own heap entry
     ``(f, -stage, -entry, node, seq, agv, wstart, wend, parent, via)``, where
     ``f`` is ``entry + guide``, ``parent`` is the popped entry it grew from
     and ``via`` the (edge rid, depart, arrive) crossing into it, or None.
@@ -403,7 +418,8 @@ def _search(
             _, agv, spec, head = racers[admitted]
             admitted += 1
             if agv not in roots:
-                roots[agv] = _source_label(tg, memos[agv], agv, spec, head, earliest)
+                memos[agv] = memo = {}
+                roots[agv] = _source_label(tg, memo, agv, spec, head, earliest)
             root = roots[agv]
             if root is not None and (allowed is None or root[0] in allowed):
                 node, ws, we, entry, via = root
@@ -521,6 +537,23 @@ def _emit(done, final_stop) -> tuple[Step, ...]:
     return tuple(steps)
 
 
+def entrant(
+    g: ResourceGraph, agv: AgvId, spec: SourceSpec, head: int | None, bound: GuideFn | None, earliest: int = 0
+):
+    """A race entrant ``(low, agv, spec, head)``, ``head`` being
+    ``check_source``'s. ``low`` is its root's ``f`` in a bounded race's first
+    pass, known before any gap read: ``bound`` read at ``spec.resource`` from
+    a node, at ``head`` from partway along an edge. Without a bound it is
+    -INF, and every root goes in at once."""
+    if bound is None:
+        low = -INF
+    elif head is None:
+        low = earliest + bound(spec.resource, 0)
+    else:
+        low = earliest + (g.edge_at(spec.resource).weight - spec.elapsed) + bound(head, 0)
+    return (low, agv, spec, head)
+
+
 def time_path(
     tg: TimeGraph,
     agv: AgvId,
@@ -550,27 +583,24 @@ def multi_source_time_path(
 ) -> TimePath | None:
     """Race several AGVs over one route; the soonest finisher's path wins.
 
-    ``bound``, a consistent guide, only cuts the search: the result is the
-    one the race returns without it (see the module docstring).
+    ``sources`` lists ``(agv, spec)`` pairs, each checked here, or entrants
+    that ``entrant`` built for this ``bound`` and ``earliest``, taken as
+    they are. ``bound``, a consistent guide, only cuts the search: the
+    result is the one the race returns without it (see the module
+    docstring).
     """
     check_stages(stages)
     g = tg.graph
     if guide is None:
         guide = zero_guide(g, stages)
-    memos = {agv: {} for agv, _ in sources}  # agv -> {resource: gap windows from earliest}
+    memos = {}  # agv -> {resource: gap windows from earliest}, made on admission
     roots = {}  # agv -> root label or None, built on admission
     racers = []
-    for agv, spec in sources:
-        head = check_source(g, spec)
-        # The racer's low: its root's f in a bounded race's first pass, known
-        # before any gap read. Without a bound every root goes in at once.
-        if bound is None:
-            low = -INF
-        elif head is None:
-            low = earliest + bound(spec.resource, 0)
-        else:
-            low = earliest + (g.edge_at(spec.resource).weight - spec.elapsed) + bound(head, 0)
-        racers.append((low, agv, spec, head))
+    for source in sources:
+        if len(source) == 2:
+            agv, spec = source
+            source = entrant(g, agv, spec, check_source(g, spec), bound, earliest)
+        racers.append(source)
     if bound is None:
         done = _search(tg, racers, roots, memos, stages, guide, earliest, allowed)
     else:

@@ -10,7 +10,10 @@ deeper-first order must match it leg for leg. The two anchorisers are the
 others: naive_anchorise_fixed_bound and greedy_anchorise_fixed_bound are the
 engine's loops with the race bound built once over every anchor, which the
 engine's nearest-open-anchor bound must match result for result;
-nearest_target_guide builds that fixed bound.
+nearest_target_guide builds that fixed bound. greedy_anchorise_rebuilt is
+the greedy loop as it was before it carried its race entrants across rounds:
+each round checks every pending placement and reads every low afresh, and
+the engine must match it result for result.
 dump_csv and snapshot_before read a TimeGraph's stored intervals for
 equality and immutability checks, and counted_reads counts its gap reads.
 timetable_json is the standard library's rendering of a timetable, which
@@ -299,6 +302,30 @@ def greedy_anchorise_fixed_bound(tg, links, placements):
         if p is None:
             return AnchorResult(paths, frozenset(pending), attempts)
         _commit(tg, links, p.agv, p)
+        paths[p.agv] = p
+        pending.discard(p.agv)
+    return AnchorResult(paths, frozenset(), attempts)
+
+
+def greedy_anchorise_rebuilt(tg, links, placements):
+    """``anchoring.greedy_anchorise`` handing each round's race every pending
+    ``(agv, spec)`` pair, so the race checks each placement and computes each
+    low again every round."""
+    g = tg.graph
+    stages = [Stage(g.anchors, INF)]
+    nearest = NearestTarget(g, g.anchors)
+    initialise_reservations(tg, links, placements)
+    pending = set(placements)
+    paths = {}
+    attempts = 0
+    while pending:
+        attempts += 1
+        sources = [(a, placements[a]) for a in sorted(pending)]
+        p = multi_source_time_path(tg, sources, stages, bound=nearest.bound)
+        if p is None:
+            return AnchorResult(paths, frozenset(pending), attempts)
+        _commit(tg, links, p.agv, p)
+        nearest.close(links.linked[p.steps[-1].resource])
         paths[p.agv] = p
         pending.discard(p.agv)
     return AnchorResult(paths, frozenset(), attempts)

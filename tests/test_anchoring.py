@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from agvtime import anchoring
 from agvtime.anchoring import (
     blockers,
     greedy_anchorise,
@@ -11,14 +12,20 @@ from agvtime.anchoring import (
     naive_anchorise,
 )
 from agvtime.footprint import normalise
-from agvtime.graph import Edge, ResourceGraph, build_adjacency_links, build_grid
+from agvtime.graph import Edge, InvalidParameterError, ResourceGraph, build_adjacency_links, build_grid
 from agvtime.intervals import INF
 from agvtime import pathing
-from agvtime.pathing import SourceSpec
+from agvtime.pathing import SourceSpec, check_source
 from agvtime.scenarios import generate, materialise
 from agvtime.timegraph import TimeGraph, audit_safety
 
-from oracles import counted_reads, greedy_anchorise_fixed_bound, naive_anchorise_fixed_bound
+from oracles import (
+    counted_reads,
+    dump_csv,
+    greedy_anchorise_fixed_bound,
+    greedy_anchorise_rebuilt,
+    naive_anchorise_fixed_bound,
+)
 
 
 def line(weights, anchors):
@@ -235,3 +242,132 @@ def test_races_build_only_the_roots_their_bound_admits(monkeypatch):
     assert res.ok and res.attempts == 20
     assert built == 54
     assert sum(reads.values()) == 450
+
+
+def edge_starts(case):
+    """A seeded fleet with every other AGV moved onto the first edge out of
+    its start node, partway along it and heading away from it."""
+    g, links, placements, _ = materialise(generate(demands=0, **case))
+    moved = {}
+    for agv, spec in placements.items():
+        if agv % 2:
+            erid, dest, w = g.moves[spec.resource][0]
+            spec = SourceSpec(erid, elapsed=w // 2, toward=dest)
+        moved[agv] = spec
+    return g, links, moved
+
+
+# BOUND_FLEETS's grid-26 fleet and seed-144 stall, plain and subdivided
+# grids, and fleets whose odd AGVs start partway along an edge.
+CARRIED_FLEETS = [
+    *((case, False) for case in BOUND_FLEETS[:2]),
+    *((dict(grid=12, agvs=30, seed=s), False) for s in range(4)),
+    *((dict(grid=8, agvs=12, seed=s, subdivisions=2, link_radius=3), False) for s in range(3)),
+    *((dict(grid=12, agvs=30, seed=s), True) for s in range(3)),
+    *((dict(grid=8, agvs=10, seed=s, subdivisions=2, link_radius=1), True) for s in range(3)),
+]
+
+
+def carried_fleet(case, on_edges):
+    if on_edges:
+        return edge_starts(case)
+    g, links, placements, _ = materialise(generate(demands=0, **case))
+    return g, links, placements
+
+
+def fleet_id(param):
+    case, on_edges = param
+    return "-".join(f"{k}{v}" for k, v in case.items()) + ("-edges" if on_edges else "")
+
+
+@pytest.mark.parametrize("param", CARRIED_FLEETS, ids=fleet_id)
+def test_carried_entrants_match_the_rebuilt_rounds(param):
+    # Greedy carries each pending AGV's race entrant across rounds; the
+    # reference rebuilds every entrant every round. Paths, stalls, attempts
+    # and the trees they leave must agree.
+    g, links, placements = carried_fleet(*param)
+    tg, want_tg = TimeGraph(g), TimeGraph(g)
+    got = greedy_anchorise(tg, links, placements)
+    want = greedy_anchorise_rebuilt(want_tg, links, placements)
+    assert got == want
+    assert dump_csv(tg) == dump_csv(want_tg)
+    if param[0].get("seed") == 144:
+        assert got.stalled == {1, 6, 8, 19}
+    if param[1]:
+        assert any(not g.is_node(p.steps[0].resource) for p in got.paths.values())
+
+
+@pytest.mark.parametrize("param", CARRIED_FLEETS[::3], ids=fleet_id)
+def test_carried_lows_match_fresh_lows(monkeypatch, param):
+    # Every round's race gets one entrant per pending AGV, in AGV order,
+    # whose low equals the one read afresh off the bound the race is given.
+    g, links, placements = carried_fleet(*param)
+    real = anchoring.multi_source_time_path
+    parked = set()
+    rounds = 0
+
+    def race(tg, sources, stages, *, bound, **kwargs):
+        nonlocal rounds
+        rounds += 1
+        entrants = list(sources)
+        assert [e[1] for e in entrants] == sorted(set(placements) - parked)
+        for low, agv, spec, head in entrants:
+            assert spec == placements[agv] and head == check_source(g, spec)
+            if head is None:
+                fresh = bound(spec.resource, 0)
+            else:
+                fresh = g.edge_at(spec.resource).weight - spec.elapsed + bound(head, 0)
+            assert low == fresh, (rounds, agv)
+        p = real(tg, entrants, stages, bound=bound, **kwargs)
+        if p is not None:
+            parked.add(p.agv)
+        return p
+
+    monkeypatch.setattr(anchoring, "multi_source_time_path", race)
+    res = greedy_anchorise(TimeGraph(g), links, placements)
+    assert rounds == res.attempts and parked == set(res.paths)
+
+
+def test_greedy_checks_each_placement_once(monkeypatch):
+    # The 80-AGV grid-26 fleet: one check_source per placement, where
+    # checking every pending AGV every round made 3,240 = 80 + 79 + ... + 1;
+    # one race per round; and 155 lows, 80 at the start and 75 refreshed
+    # after a close reset the node they read.
+    g, links, placements, _ = materialise(generate(grid=26, agvs=80, demands=0, seed=1))
+    calls = {"check_source": 0, "entrant": 0, "multi_source_time_path": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (anchoring, pathing):
+        counting(module, "check_source")
+        counting(module, "entrant")
+    counting(anchoring, "multi_source_time_path")
+    res = greedy_anchorise(TimeGraph(g), links, placements)
+    assert res.ok and res.attempts == 80
+    assert calls == {"check_source": 80, "entrant": 155, "multi_source_time_path": 80}
+
+
+BAD_SPECS = [SourceSpec(10**6), SourceSpec("7"), SourceSpec(-1)]
+
+
+@pytest.mark.parametrize("run", [naive_anchorise, greedy_anchorise])
+@pytest.mark.parametrize("bad", BAD_SPECS, ids=repr)
+@pytest.mark.parametrize("before", [False, True], ids=["alone", "after-a-good-one"])
+def test_bad_placements_raise_before_any_pin(run, bad, before):
+    # Every placement is checked before any start ball is pinned, so a bad
+    # one raises InvalidParameterError and leaves every tree empty.
+    g = build_grid(4, 10)
+    links = build_adjacency_links(g, 1)
+    tg = TimeGraph(g)
+    placements = {1: SourceSpec(5)} if before else {}
+    placements[2] = bad
+    with pytest.raises(InvalidParameterError):
+        run(tg, links, placements)
+    assert all(len(tree) == 0 for tree in tg.trees)

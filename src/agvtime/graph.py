@@ -10,10 +10,19 @@ Geographic links tie each resource to its spatial surroundings via
 resource-adjacency distance (a node is adjacent to its incident edges and
 vice versa). ``linked[r]`` is the closed ball: r and everything within the
 radius, which is the footprint an AGV on r holds.
+
+Every run builds its graph, checks the rules and grows its balls before it
+plans anything, so each of those is one lean pass: ``build_grid`` lays the
+lattice out in a flat list, ``ResourceGraph`` derives its tables in one loop
+over the edges, ``validate`` reads rule 1 off rule 3's walks when every
+anchor has a move to a non-anchor and one from a non-anchor, and a radius-1
+ball is a resource and its neighbours, with no search.
 """
 
 import heapq
 from typing import NamedTuple
+
+from .intervals import INF
 
 
 class InvalidParameterError(ValueError):
@@ -75,30 +84,33 @@ class ResourceGraph:
         # ``manhattan_bound`` inlined: checked per edge, the bound holds for
         # every route by the triangle inequality.
         coords = self.coords if unit_weight is not None else None
-        for i, e in enumerate(self.edges):
-            rid = num_nodes + i
-            if e.weight < 1:
-                raise InvalidParameterError(f"edge weight must be >= 1, got {e.weight}")
-            if not (0 <= e.a < num_nodes and 0 <= e.b < num_nodes):
-                raise InvalidParameterError(f"edge {i} endpoint out of range")
+        rid = num_nodes
+        for a, b, weight, directed in self.edges:
+            if weight < 1:
+                raise InvalidParameterError(f"edge weight must be >= 1, got {weight}")
+            if not (0 <= a < num_nodes and 0 <= b < num_nodes):
+                raise InvalidParameterError(f"edge {rid - num_nodes} endpoint out of range")
             if coords is not None:
-                (ax, ay), (bx, by) = coords[e.a], coords[e.b]
+                (ax, ay), (bx, by) = coords[a], coords[b]
                 bound = unit_weight * (abs(ax - bx) + abs(ay - by))
-                if bound > e.weight:
-                    raise InvalidParameterError(f"edge e{i} weight {e.weight} is below its Manhattan bound {bound}")
-            adjacent[e.a].append(rid)
-            adjacent[e.b].append(rid)
-            adjacent.append((e.a, e.b))
+                if bound > weight:
+                    raise InvalidParameterError(
+                        f"edge e{rid - num_nodes} weight {weight} is below its Manhattan bound {bound}"
+                    )
+            adjacent[a].append(rid)
+            adjacent[b].append(rid)
+            adjacent.append((a, b))
             # ``into`` names the node a move leaves, so it shares ``moves``' tuples.
-            ahead, back = (rid, e.b, e.weight), (rid, e.a, e.weight)
-            moves[e.a].append(ahead)
-            into[e.b].append(back)
-            if not e.directed:
-                moves[e.b].append(back)
-                into[e.a].append(ahead)
-        self.adjacent = tuple(tuple(x) for x in adjacent)
-        self.moves = tuple(tuple(x) for x in moves)
-        self.into = tuple(tuple(x) for x in into)
+            ahead, back = (rid, b, weight), (rid, a, weight)
+            moves[a].append(ahead)
+            into[b].append(back)
+            if not directed:
+                moves[b].append(back)
+                into[a].append(ahead)
+            rid += 1
+        self.adjacent = tuple(map(tuple, adjacent))
+        self.moves = tuple(map(tuple, moves))
+        self.into = tuple(map(tuple, into))
 
     @property
     def num_resources(self) -> int:
@@ -142,50 +154,48 @@ def build_grid(n: int, weight: int) -> ResourceGraph:
         raise InvalidParameterError(f"grid side must be >= 4, got {n}")
     if weight < 1:
         raise InvalidParameterError("edge weight must be >= 1")
-    corners = {(0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1)}
-    ids = {}
+    last = n - 1
+    ids = [None] * (n * n)  # node id of lattice point (x, y) at y * n + x
     coords = []
+    anchors = []
     for y in range(n):
+        rim = y == 0 or y == last
         for x in range(n):
-            if (x, y) in corners:
-                continue
-            ids[(x, y)] = len(coords)
+            if rim or x == 0 or x == last:
+                if rim and (x == 0 or x == last):
+                    continue  # a cut corner
+                anchors.append(len(coords))
+            ids[y * n + x] = len(coords)
             coords.append((x, y))
-
-    def perimeter(x, y):
-        return x == 0 or y == 0 or x == n - 1 or y == n - 1
-
-    anchors = {ids[p] for p in ids if perimeter(*p)}
-    edges = []
-    for (x, y), u in ids.items():
-        for dx, dy in ((1, 0), (0, 1)):
-            q = (x + dx, y + dy)
-            if q not in ids:
-                continue
-            v = ids[q]
-            if u in anchors and v in anchors:
-                continue
-            edges.append(Edge(u, v, weight))
+    # Node by node, its edge right then its edge down. A rim row's
+    # horizontal edges and a rim column's vertical ones join two anchors,
+    # so only an inner row's and an inner column's are kept.
+    new, edges = tuple.__new__, []
+    for u, (x, y) in enumerate(coords):
+        if x < last and 0 < y < last:
+            edges.append(new(Edge, (u, ids[y * n + x + 1], weight, False)))
+        if y < last and 0 < x < last:
+            edges.append(new(Edge, (u, ids[y * n + n + x], weight, False)))
     return ResourceGraph(len(coords), edges, anchors, coords, unit_weight=weight)
 
 
-def _strongly_connected(g: ResourceGraph, keep) -> bool:
-    """Whether the nodes ``keep`` admits reach each other along moves
-    between kept nodes: one walk over ``g.moves`` and one over ``g.into``
-    from the same node each reach all of them."""
-    nodes = [v for v in range(g.num_nodes) if keep(v)]
+def _strongly_connected(g: ResourceGraph, skip) -> bool:
+    """Whether the nodes outside ``skip``, a set of nodes, reach each other
+    along moves between them: one walk over ``g.moves`` and one over
+    ``g.into`` from the same node each reach all of them."""
+    start = next((v for v in range(g.num_nodes) if v not in skip), None)
 
     def reaches_all(adj):
-        stack = nodes[:1]
-        seen = set(stack)
+        seen = {*skip, start}
+        stack = [start]
         while stack:
             for _, u, _ in adj[stack.pop()]:
-                if u not in seen and keep(u):
+                if u not in seen:
                     seen.add(u)
                     stack.append(u)
-        return len(seen) == len(nodes)
+        return len(seen) == g.num_nodes
 
-    return reaches_all(g.moves) and reaches_all(g.into)
+    return start is None or reaches_all(g.moves) and reaches_all(g.into)
 
 
 def validate(g: ResourceGraph, num_agvs: int) -> Violation | None:
@@ -193,13 +203,22 @@ def validate(g: ResourceGraph, num_agvs: int) -> Violation | None:
 
     1: graph strongly connected. 2: at least as many anchors as AGVs.
     3: graph minus anchors strongly connected. 4: no anchor-anchor edge.
+
+    Rule 3's two walks run first. When they pass and every anchor has a
+    move to a non-anchor and a move from one, rule 1 follows without a walk
+    of its own; otherwise two more walks over the whole graph decide it.
     """
-    if not _strongly_connected(g, lambda v: True):
-        return Violation(1, "graph is not strongly connected")
-    if len(g.anchors) < num_agvs:
-        return Violation(2, f"{num_agvs} AGVs but only {len(g.anchors)} anchors")
     anchors = g.anchors
-    if not _strongly_connected(g, lambda v: v not in anchors):
+    plain_connected = _strongly_connected(g, anchors)
+    joined = plain_connected and all(
+        any(u not in anchors for _, u, _ in g.moves[a]) and any(u not in anchors for _, u, _ in g.into[a])
+        for a in anchors
+    )
+    if not joined and not _strongly_connected(g, ()):
+        return Violation(1, "graph is not strongly connected")
+    if len(anchors) < num_agvs:
+        return Violation(2, f"{num_agvs} AGVs but only {len(anchors)} anchors")
+    if not plain_connected:
         return Violation(3, "graph minus anchors is not strongly connected")
     for i, e in enumerate(g.edges):
         if e.a in anchors and e.b in anchors:
@@ -259,15 +278,17 @@ class GeoLinks:
 
 
 def build_adjacency_links(g: ResourceGraph, s: int) -> GeoLinks:
-    """Breadth-first resource-adjacency balls of radius s around each resource."""
+    """Breadth-first resource-adjacency balls of radius s around each
+    resource. A ball starts as r and its neighbours, radius 1, and only a
+    wider radius walks on from there."""
     if s < 1:
         raise InvalidParameterError(f"link radius must be >= 1, got {s}")
     adj = g.adjacent
     linked = []
     for r in range(g.num_resources):
-        ball = {r}
-        frontier = [r]
-        for _ in range(s):
+        frontier = adj[r]
+        ball = {r, *frontier}
+        for _ in range(1, s):
             nxt = []
             for p in frontier:
                 for q in adj[p]:
@@ -319,8 +340,9 @@ def spatial_path(g, frm, to, forbidden=frozenset(), guide="none"):
     best = {frm: 0}
     parent = {}
     heap = [(h(frm), 0, frm)]
+    push, pop = heapq.heappush, heapq.heappop
     while heap:
-        f, neg, v = heapq.heappop(heap)
+        f, neg, v = pop(heap)
         cost = -neg
         if v == to:
             path = [to]
@@ -336,9 +358,9 @@ def spatial_path(g, frm, to, forbidden=frozenset(), guide="none"):
             if u in forbidden:
                 continue
             nc = cost + w
-            if nc < best.get(u, float("inf")):
+            if nc < best.get(u, INF):
                 best[u] = nc
                 parent[u] = (erid, v)
-                heapq.heappush(heap, (nc + h(u), -nc, u))
+                push(heap, (nc + h(u), -nc, u))
     return None
 

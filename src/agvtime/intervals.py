@@ -188,7 +188,35 @@ class GapTree:
 
     def remove(self, agv: AgvId, start, end) -> None:
         """Release agv's hold over [start, end). Intervals left with no
-        holder vanish."""
+        holder vanish.
+
+        A span that overlaps one stored interval, held by agv alone, is cut
+        out of it in place: what is left of it touches nothing it did not
+        touch before, so nothing can merge. Every other span takes the
+        general split and splice path.
+        """
+        starts, ends, idsets = self._starts, self._ends, self._ids
+        lo = bisect_right(ends, start)
+        if (
+            lo < len(starts)
+            and starts[lo] < end
+            and idsets[lo] is _SOLO.get(agv)
+            and (lo + 1 == len(starts) or starts[lo + 1] >= end)
+        ):
+            self.last_touched = 1
+            head, tail = starts[lo] < start, end < ends[lo]
+            if head and tail:
+                starts.insert(lo + 1, end)
+                ends.insert(lo + 1, ends[lo])
+                idsets.insert(lo + 1, idsets[lo])
+                ends[lo] = start
+            elif head:
+                ends[lo] = start
+            elif tail:
+                starts[lo] = end
+            else:
+                del starts[lo], ends[lo], idsets[lo]
+            return
         lo, hi, stored = self._affected(start, end)
         self.last_touched = hi - lo
         pieces = []

@@ -301,16 +301,17 @@ class NearestTarget:
         """Dijkstra from ``heap``'s (ticks, node, root) seeds; a node keeps
         its first, least, pop and joins its root's members."""
         dist, root, into, members = self._dist, self.root, self._into, self._members
+        push, pop = heapq.heappush, heapq.heappop
         heapq.heapify(heap)
         while heap:
-            d, v, r = heapq.heappop(heap)
+            d, v, r = pop(heap)
             if dist[v] <= d:
                 continue
             dist[v], root[v] = d, r
             members[r].append(v)
             for _, u, w in into[v]:
                 if d + w < dist[u]:
-                    heapq.heappush(heap, (d + w, u, r))
+                    push(heap, (d + w, u, r))
 
     def close(self, resources) -> list[int]:
         """Stop counting every open target among ``resources`` as one.

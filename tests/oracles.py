@@ -28,6 +28,13 @@ runs once per pushed label. The engine must return its path exactly.
 pickup_arrival_pick is batch assignment by a full scan of every (AGV, demand)
 pair for every commit, which the scheduler's incremental selection must match
 commit for commit.
+The graph builders' references are the builders as they were before their
+set-up was made lean: grid_reference lays the grid out in a dict keyed by
+(x, y) tuples, derived_tables_reference derives a graph's move and adjacency
+tables edge by edge from its enumerated edge list, links_reference grows every
+ball by plain breadth-first search from r alone, and validate_reference walks
+the whole graph for rule 1 and the graph minus anchors for rule 3, four walks
+on a graph that holds. The engine must match each of them exactly.
 """
 
 import heapq
@@ -39,7 +46,7 @@ from operator import itemgetter
 
 from agvtime.anchoring import AnchorResult, hold, initialise_reservations
 from agvtime.footprint import boundary_reservations
-from agvtime.graph import manhattan_bound
+from agvtime.graph import Edge, Violation, manhattan_bound
 from agvtime.intervals import INF, fmt_tick
 from agvtime.pathing import (
     NearestTarget,
@@ -202,6 +209,96 @@ def anchor_ticks(graph, source):
             if u not in dist:
                 heapq.heappush(heap, (d + w, u))
     return {v: d for v, d in dist.items() if v in graph.anchors}
+
+
+def grid_reference(n, weight):
+    """``(num_nodes, edges, anchors, coords)`` of ``graph.build_grid(n,
+    weight)``, laid out in a dict keyed by (x, y)."""
+    corners = {(0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1)}
+    ids = {}
+    coords = []
+    for y in range(n):
+        for x in range(n):
+            if (x, y) not in corners:
+                ids[(x, y)] = len(coords)
+                coords.append((x, y))
+    anchors = {u for (x, y), u in ids.items() if x in (0, n - 1) or y in (0, n - 1)}
+    edges = []
+    for (x, y), u in ids.items():
+        for q in ((x + 1, y), (x, y + 1)):
+            if q in ids and not (u in anchors and ids[q] in anchors):
+                edges.append(Edge(u, ids[q], weight))
+    return len(coords), edges, frozenset(anchors), tuple(coords)
+
+
+def derived_tables_reference(num_nodes, edges):
+    """``(moves, into, adjacent)`` of a ResourceGraph, derived edge by edge."""
+    adjacent = [[] for _ in range(num_nodes)]
+    moves = [[] for _ in range(num_nodes)]
+    into = [[] for _ in range(num_nodes)]
+    for i, e in enumerate(edges):
+        rid = num_nodes + i
+        adjacent[e.a].append(rid)
+        adjacent[e.b].append(rid)
+        adjacent.append((e.a, e.b))
+        moves[e.a].append((rid, e.b, e.weight))
+        into[e.b].append((rid, e.a, e.weight))
+        if not e.directed:
+            moves[e.b].append((rid, e.a, e.weight))
+            into[e.a].append((rid, e.b, e.weight))
+    return tuple(tuple(x) for x in moves), tuple(tuple(x) for x in into), tuple(tuple(x) for x in adjacent)
+
+
+def links_reference(g, s):
+    """``build_adjacency_links(g, s).linked``: each ball grown by breadth-first
+    search from r alone, s rings deep."""
+    linked = []
+    for r in range(g.num_resources):
+        ball = {r}
+        frontier = [r]
+        for _ in range(s):
+            nxt = []
+            for p in frontier:
+                for q in g.adjacent[p]:
+                    if q not in ball:
+                        ball.add(q)
+                        nxt.append(q)
+            frontier = nxt
+        linked.append(frozenset(ball))
+    return tuple(linked)
+
+
+def _walks_reach_all(g, keep):
+    """Whether the nodes ``keep`` admits reach each other along moves between
+    kept nodes: a walk over ``g.moves`` and one over ``g.into``."""
+    nodes = [v for v in range(g.num_nodes) if keep(v)]
+
+    def reaches_all(adj):
+        stack = nodes[:1]
+        seen = set(stack)
+        while stack:
+            for _, u, _ in adj[stack.pop()]:
+                if u not in seen and keep(u):
+                    seen.add(u)
+                    stack.append(u)
+        return len(seen) == len(nodes)
+
+    return reaches_all(g.moves) and reaches_all(g.into)
+
+
+def validate_reference(g, num_agvs):
+    """``graph.validate``, rule by rule in rule order: rule 1 walks the whole
+    graph and rule 3 the graph minus anchors."""
+    if not _walks_reach_all(g, lambda v: True):
+        return Violation(1, "graph is not strongly connected")
+    if len(g.anchors) < num_agvs:
+        return Violation(2, f"{num_agvs} AGVs but only {len(g.anchors)} anchors")
+    if not _walks_reach_all(g, lambda v: v not in g.anchors):
+        return Violation(3, "graph minus anchors is not strongly connected")
+    for i, e in enumerate(g.edges):
+        if e.a in g.anchors and e.b in g.anchors:
+            return Violation(4, f"edge e{i} joins two anchors")
+    return None
 
 
 def spatial_path_cost_first(g, frm, to, forbidden=frozenset(), guide="none"):

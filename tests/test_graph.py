@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agvtime import graph
 from agvtime.graph import (
     Edge,
     InvalidParameterError,
     ResourceGraph,
+    Violation,
     build_adjacency_links,
     build_grid,
     manhattan_bound,
@@ -20,7 +22,14 @@ from agvtime.graph import (
     validate,
 )
 
-from oracles import shortest_ticks, spatial_path_cost_first
+from oracles import (
+    derived_tables_reference,
+    grid_reference,
+    links_reference,
+    shortest_ticks,
+    spatial_path_cost_first,
+    validate_reference,
+)
 
 
 def grid4():
@@ -116,14 +125,32 @@ def reaches_each_other(g, nodes):
     return all(nodes <= shortest_ticks(inner, v).keys() for v in nodes)
 
 
-def test_derived_tables_match_the_edge_list():
+def counted_walks(monkeypatch):
+    """The skip set of every ``_strongly_connected`` call ``validate`` makes:
+    one call is rule 3's two walks alone, two calls are all four."""
+    calls = []
+    walks = graph._strongly_connected
+
+    def counted(g, skip):
+        calls.append(skip)
+        return walks(g, skip)
+
+    monkeypatch.setattr(graph, "_strongly_connected", counted)
+    return calls
+
+
+def test_derived_tables_match_the_edge_list(monkeypatch):
     # ``into`` is ``moves`` reversed and ``adjacent`` the symmetric resource
     # adjacency, each checked against the edge list; rules 1 and 3 of
-    # ``validate`` agree with a reachability check by a separate Dijkstra.
+    # ``validate`` agree with a reachability check by a separate Dijkstra,
+    # both when rule 1 is read off rule 3's walks and when it takes its own.
+    calls = counted_walks(monkeypatch)
+    walks = set()
     rng = random.Random(11)
     seen = set()
     for _ in range(300):
         g = random_explicit_graph(rng)
+        calls.clear()
         nn = g.num_nodes
         moves, into = [Counter() for _ in range(nn)], [Counter() for _ in range(nn)]
         incident = [Counter() for _ in range(nn)]
@@ -154,7 +181,69 @@ def test_derived_tables_match_the_edge_list():
         got = broken.assumption if broken is not None and broken.assumption != 4 else None
         assert got == want, (g.edges, g.anchors)
         seen.add(want)
+        walks.add(len(calls))
     assert seen == {1, 3, None}
+    assert walks == {1, 2}
+
+
+def assert_builds_like_the_references(g):
+    assert (g.moves, g.into, g.adjacent) == derived_tables_reference(g.num_nodes, g.edges)
+    for radius in (1, 2, 3):
+        assert build_adjacency_links(g, radius).linked == links_reference(g, radius)
+    for agvs in (0, len(g.anchors), len(g.anchors) + 1):
+        assert validate(g, agvs) == validate_reference(g, agvs)
+
+
+def test_grid_builders_match_their_references():
+    # The flat-list grid, its unpacked-edge tables, the balls seeded with
+    # their first ring and validate's two-walk shortcut give exactly what
+    # the reference builders give, subdivided or not.
+    for n in range(4, 13):
+        for weight in (1, 10):
+            g = build_grid(n, weight)
+            num_nodes, edges, anchors, coords = grid_reference(n, weight)
+            assert (g.num_nodes, g.anchors, g.coords) == (num_nodes, anchors, coords)
+            assert g.edges == tuple(edges)
+            assert all(type(e) is Edge for e in g.edges)
+            assert_builds_like_the_references(g)
+            for s in (2, 5) if weight == 10 else ():
+                assert_builds_like_the_references(subdivide(g, s))
+
+
+def test_explicit_graph_builders_match_their_references():
+    rng = random.Random(5)
+    directed = 0
+    for _ in range(200):
+        g = random_explicit_graph(rng)
+        directed += any(e.directed for e in g.edges)
+        assert_builds_like_the_references(g)
+    assert directed > 100
+
+
+@pytest.mark.parametrize(
+    "edges, anchors, want, calls",
+    [
+        # Every anchor hangs off the grid's interior: rule 1 is read off
+        # rule 3's two walks.
+        (grid4().edges, grid4().anchors, None, 1),
+        # Anchor 3's only move leads to anchor 2, so rule 1 takes its own
+        # walks: it holds, and rule 4 is the one broken.
+        ([Edge(0, 1, 1), Edge(2, 0, 1), Edge(3, 2, 1)], (2, 3), Violation(4, "edge e2 joins two anchors"), 2),
+        # The same, one way out of anchor 3: nothing reaches it.
+        ([Edge(0, 1, 1), Edge(2, 0, 1), Edge(3, 2, 1, directed=True)], (2, 3),
+         Violation(1, "graph is not strongly connected"), 2),
+        # Rules 1 and 3 broken together: rule 1 is reported.
+        ([Edge(0, 1, 1), Edge(2, 3, 1)], (0,), Violation(1, "graph is not strongly connected"), 2),
+        ([Edge(0, 2, 1, directed=True), Edge(2, 1, 1)], (2,), Violation(1, "graph is not strongly connected"), 2),
+        # Rule 3 alone: the anchor joins the two halves.
+        ([Edge(0, 2, 1), Edge(2, 1, 1)], (2,), Violation(3, "graph minus anchors is not strongly connected"), 2),
+    ],
+)
+def test_validate_reads_rule_1_off_rule_3_or_walks_for_it(monkeypatch, edges, anchors, want, calls):
+    g = ResourceGraph(1 + max(max(e.a, e.b) for e in edges), edges, anchors)
+    walks = counted_walks(monkeypatch)
+    assert validate(g, 1) == validate_reference(g, 1) == want
+    assert len(walks) == calls
 
 
 def test_subdivide_counts_and_weights():

@@ -158,6 +158,62 @@ def test_insert_into_a_gap(seed_ops, span, want, touching):
     assert tree.last_touched == touching
 
 
+@pytest.mark.parametrize(
+    "seed_ops, span, want, spliced",
+    [
+        # head cut, past a touching neighbour held by another AGV
+        ([(2, 5, 10), (1, 10, 20)], (10, 15), [(5, 10, TWO), (15, 20, ONE)], False),
+        ([(1, 10, 20)], (5, 15), [(15, 20, ONE)], False),
+        # tail cut
+        ([(1, 10, 20), (2, 20, 30)], (15, 20), [(10, 15, ONE), (20, 30, TWO)], False),
+        # middle split
+        (
+            [(2, 0, 10), (1, 10, 30), (2, 30, 40)],
+            (15, 20),
+            [(0, 10, TWO), (10, 15, ONE), (20, 30, ONE), (30, 40, TWO)],
+            False,
+        ),
+        # whole deletion, by the interval's own span and by a wider one
+        ([(2, 0, 10), (1, 10, 20), (2, 20, 30)], (10, 20), [(0, 10, TWO), (20, 30, TWO)], False),
+        ([(1, 10, 20)], (0, 40), [], False),
+        # an open-ended hold released from a tick on: a tail cut, then whole
+        ([(2, 0, 10), (1, 10, INF)], (12, INF), [(0, 10, TWO), (10, 12, ONE)], False),
+        ([(2, 0, 10), (1, 10, INF)], (10, INF), [(0, 10, TWO)], False),
+        ([(1, 10, INF)], (5, INF), [], False),
+        # a shared interval, another AGV's, two intervals and a span in a
+        # gap still take the splice path
+        ([(1, 10, 20), (2, 10, 20)], (12, 15), [(10, 12, BOTH), (12, 15, TWO), (15, 20, BOTH)], True),
+        ([(2, 10, 20)], (12, 15), [(10, 20, TWO)], True),
+        ([(1, 10, 20), (1, 30, 40)], (15, 35), [(10, 15, ONE), (35, 40, ONE)], True),
+        ([(1, 10, 20), (2, 30, 40)], (15, 35), [(10, 15, ONE), (30, 40, TWO)], True),
+        ([(1, 10, 20)], (25, 30), [(10, 20, ONE)], True),
+    ],
+)
+def test_remove_cuts_a_lone_own_interval_in_place(monkeypatch, seed_ops, span, want, spliced):
+    tree, oracle = GapTree(), TimelineOracle(HORIZON)
+    for agv, a, b in seed_ops:
+        tree.insert(agv, a, b)
+        oracle.insert(agv, a, b)
+        tree.check_invariants()
+    splices = []
+    splice = GapTree._splice
+
+    def counted_splice(t, *args):
+        splices.append(1)
+        splice(t, *args)
+
+    monkeypatch.setattr(GapTree, "_splice", counted_splice)
+    tree.remove(1, *span)
+    assert bool(splices) == spliced
+    assert spliced or tree.last_touched == 1
+    oracle.remove(1, *span)
+    tree.check_invariants()
+    assert tree.intervals() == want
+    assert [(s, min(e, HORIZON), ids) for s, e, ids in want] == oracle.segments()
+    for agv in (1, 2, 3):
+        assert tree.gap_query(agv, 0, HORIZON) == oracle.gaps(agv, 0, HORIZON)
+
+
 @pytest.mark.parametrize("agv", [1, 2, 3])
 @pytest.mark.parametrize("since", [0, 15, 25, 30, 35, 63])
 def test_gaps_from_at_and_past_the_last_end(agv, since):

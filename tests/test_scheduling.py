@@ -336,30 +336,34 @@ def test_committed_state_is_exactly_timeline_footprints():
 def test_commits_splice_only_overlapping_inserts(monkeypatch):
     # Work-count twin of dense-footprint's insert speed, with no wall clock:
     # a footprint span that overlaps nothing stored is written straight into
-    # its gap, so only overlapping inserts and removes reach _splice.
-    overlapping, removes, splices = [], [], []
+    # its gap, and a release that overlaps one interval held by the AGV alone
+    # is cut out of it in place, so only overlapping inserts and the other
+    # removes reach _splice.
+    overlapping, spliced_removes, splices = [], [], []
     insert, remove, splice = GapTree.insert, GapTree.remove, GapTree._splice
 
     def recorded_insert(tree, agv, start, end):
         overlapping.append(any(s < end and start < e for s, e, _ in tree.intervals()))
         insert(tree, agv, start, end)
 
-    def counted_remove(tree, *args):
-        removes.append(1)
-        remove(tree, *args)
+    def recorded_remove(tree, agv, start, end):
+        hit = [ids for s, e, ids in tree.intervals() if s < end and start < e]
+        spliced_removes.append(hit != [{agv}])
+        remove(tree, agv, start, end)
 
     def counted_splice(tree, *args):
         splices.append(1)
         splice(tree, *args)
 
     monkeypatch.setattr(GapTree, "insert", recorded_insert)
-    monkeypatch.setattr(GapTree, "remove", counted_remove)
+    monkeypatch.setattr(GapTree, "remove", recorded_remove)
     monkeypatch.setattr(GapTree, "_splice", counted_splice)
     sc = generate(grid=8, agvs=3, demands=20, seed=5, subdivisions=2, link_radius=3)
     g, links, placements, demands = materialise(sc)
     build_timetable(g, links, placements, demands, preset="partial-manhattan", seed=5)
     assert 0 < sum(overlapping) < len(overlapping) / 2
-    assert len(splices) == sum(overlapping) + len(removes)
+    assert 0 < sum(spliced_removes) < len(spliced_removes)
+    assert len(splices) == sum(overlapping) + sum(spliced_removes)
 
 
 def subdivided_plan():
